@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"testing"
 
+	"pprengine/internal/baseline"
 	"pprengine/internal/cluster"
 	"pprengine/internal/core"
 	"pprengine/internal/experiments"
@@ -251,14 +252,17 @@ func BenchmarkSSPPRSingleQuery(b *testing.B) {
 	n := int32(c.Shards[0].NumCore())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.RunSSPPR(context.Background(), st, int32(i)%n, cfg, nil); err != nil {
+		m, _, err := core.RunSSPPR(context.Background(), st, int32(i)%n, cfg, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		m.Release()
 	}
 }
 
 // BenchmarkPushThreshold ablates the multi-threaded push threshold (§3.3's
-// "simple strategy").
+// "simple strategy") on the baseline engine (the served engine never forks a
+// push).
 func BenchmarkPushThreshold(b *testing.B) {
 	p := benchParams()
 	spec, err := p.Spec("twitter-sim")
@@ -277,10 +281,9 @@ func BenchmarkPushThreshold(b *testing.B) {
 		name := map[int]string{1: "always-mt", 64: "threshold-64", 1 << 20: "never-mt"}[threshold]
 		b.Run(name, func(b *testing.B) {
 			cfg := core.DefaultConfig()
-			cfg.PushThreshold = threshold
-			cfg.PushWorkers = 4
+			opt := baseline.Options{Workers: 4, Threshold: threshold}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.RunSSPPR(context.Background(), st, int32(i)%n, cfg, nil); err != nil {
+				if _, _, err := baseline.RunSSPPR(context.Background(), st, int32(i)%n, cfg, opt, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -288,8 +291,8 @@ func BenchmarkPushThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkPmapVariants ablates the push locking scheme: owner-compute
-// (lock-eliminated) vs per-submap locking.
+// BenchmarkPmapVariants ablates the push locking scheme on the baseline
+// engine: owner-compute (lock-eliminated) vs per-submap locking.
 func BenchmarkPmapVariants(b *testing.B) {
 	p := benchParams()
 	spec, err := p.Spec("friendster-sim")
@@ -311,11 +314,9 @@ func BenchmarkPmapVariants(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			cfg := core.DefaultConfig()
-			cfg.LockedPush = locked
-			cfg.PushThreshold = 1
-			cfg.PushWorkers = 4
+			opt := baseline.Options{Workers: 4, Threshold: 1, Locked: locked}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.RunSSPPR(context.Background(), st, int32(i)%n, cfg, nil); err != nil {
+				if _, _, err := baseline.RunSSPPR(context.Background(), st, int32(i)%n, cfg, opt, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

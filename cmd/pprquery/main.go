@@ -73,7 +73,6 @@ func main() {
 		aggWindow   = flag.Duration("agg-window", 0, "compute mode: flush window for cross-query RPC fetch aggregation (0 = disabled unless -agg-rows is set)")
 		aggRows     = flag.Int("agg-rows", 0, "compute mode: row cap per aggregated request; setting it also enables aggregation")
 		zeroCopy    = flag.Bool("zerocopy", true, "fetch over the zero-copy path: pooled RPC buffers, view decoders, single decode per remote row (false = copy-decode every response)")
-		affinity    = flag.Bool("affinity", false, "run pop/push compute on the shard-affinity worker pool: long-lived workers owning fixed pmap stripes over flat probe tables (DESIGN.md §5j)")
 		replicas    = flag.Int("replicas", 0, "expected serving addresses per remote shard in -peers (0 = accept whatever is listed)")
 		probeIvl    = flag.Duration("probe-interval", 0, "health-ping interval per peer when -peers lists replicas (0 = default 500ms)")
 		breakerThr  = flag.Int("breaker-threshold", 0, "consecutive probe/request failures that open a peer's circuit breaker (0 = default)")
@@ -127,7 +126,6 @@ func main() {
 	cfg.AggWindow = *aggWindow
 	cfg.AggRows = *aggRows
 	cfg.ZeroCopy = *zeroCopy
-	cfg.Affinity = *affinity
 	cfg.Tenant = *tenant
 	cfg.Priority = *priority
 	dialCtx, cancelDial := context.WithTimeout(context.Background(), *dialTimeout)

@@ -77,7 +77,6 @@ func main() {
 		aggWindow    = flag.Duration("agg-window", 0, "flush window for cross-query RPC fetch aggregation of served queries (0 = disabled unless -agg-rows is set)")
 		aggRows      = flag.Int("agg-rows", 0, "row cap per aggregated request; setting it also enables aggregation (0 = disabled unless -agg-window is set)")
 		zeroCopy     = flag.Bool("zerocopy", true, "serve queries over the zero-copy fetch path: pooled RPC buffers, view decoders, single decode per remote row (false = copy-decode every response)")
-		affinity     = flag.Bool("affinity", false, "run served queries' pop/push compute on the shard-affinity worker pool: long-lived workers owning fixed pmap stripes over flat probe tables (DESIGN.md §5j)")
 		featureDim   = flag.Int("feature-dim", 0, "synthesize a per-vertex feature block of this dimension and serve MethodFetchFeatures plus the /infer endpoint (0 = no feature tier)")
 		numClasses   = flag.Int("num-classes", 4, "label/logit classes for the feature tier")
 		hidden       = flag.Int("hidden", 32, "GraphSAGE hidden width for /infer")
@@ -189,7 +188,6 @@ func main() {
 		cfg.AggWindow = *aggWindow
 		cfg.AggRows = *aggRows
 		cfg.ZeroCopy = *zeroCopy
-		cfg.Affinity = *affinity
 		cfg.FeatCacheBytes = *featCacheB
 		cfg.FeatAdmitMass = *featAdmit
 		cfg.AdmitMaxInFlight = *admitInFl

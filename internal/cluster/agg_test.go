@@ -34,10 +34,9 @@ func TestAggregationScoresMatchAndRequestsDrop(t *testing.T) {
 	quality := partition.Evaluate(g, a)
 
 	cfg := core.DefaultConfig()
-	// Deterministic engine config: sorted pops and single-threaded push make
-	// scores bitwise reproducible, so any divergence indicts the aggregator.
+	// Deterministic engine config: sorted pops make scores bitwise
+	// reproducible, so any divergence indicts the aggregator.
 	cfg.DeterministicPop = true
-	cfg.PushWorkers = 1
 	// A looser eps keeps pushes light relative to fetches — the fetch-bound
 	// regime aggregation targets — without shrinking the frontier to nothing.
 	cfg.Eps = 1e-5

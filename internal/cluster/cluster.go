@@ -17,6 +17,7 @@ import (
 
 	"pprengine/internal/admit"
 	"pprengine/internal/agg"
+	"pprengine/internal/baseline"
 	"pprengine/internal/cache"
 	"pprengine/internal/chaos"
 	"pprengine/internal/core"
@@ -820,16 +821,23 @@ func (c *Cluster) EvenQuerySet(queriesPerMachine int, seed int64) [][]int32 {
 type EngineKind int
 
 const (
-	// EngineMap is the paper's PPR Engine (hashmap-based operators).
+	// EngineMap is the paper's PPR Engine (hashmap-based operators): the
+	// served engine, pop/push over recycled flat probe tables.
 	EngineMap EngineKind = iota
 	// EngineTensor is the tensor-based baseline.
 	EngineTensor
+	// EngineStriped is the PPR Engine over the mutex-striped Go maps
+	// (internal/baseline): the compute baseline of the hot-path ablations.
+	EngineStriped
 )
 
 // String names the engine for report rows.
 func (k EngineKind) String() string {
-	if k == EngineTensor {
+	switch k {
+	case EngineTensor:
 		return "PyTorch Tensor"
+	case EngineStriped:
+		return "PPR Engine (striped maps)"
 	}
 	return "PPR Engine"
 }
@@ -968,8 +976,12 @@ func (c *Cluster) RunSSPPRBatch(ctx context.Context, queriesByMachine [][]int32,
 					switch kind {
 					case EngineTensor:
 						_, stats, err = core.RunTensorSSPPR(ctx, st, src, cfg, bd)
+					case EngineStriped:
+						_, stats, err = baseline.RunSSPPR(ctx, st, src, cfg, baseline.Options{}, bd)
 					default:
-						_, stats, err = core.RunSSPPR(ctx, st, src, cfg, bd)
+						var q *core.SSPPR
+						q, stats, err = core.RunSSPPR(ctx, st, src, cfg, bd)
+						q.Release() // only the stats are kept
 					}
 					a.timeouts += stats.Timeouts
 					a.retries += stats.Retries

@@ -30,13 +30,12 @@ func haTestShards(t *testing.T, g *graph.Graph, k int) ([]*shard.Shard, *shard.L
 	return shards, loc, partition.Evaluate(g, a)
 }
 
-// detConfig pins the two float-order noise sources (frontier pop order,
-// parallel push reduction), making scores bitwise reproducible: any
-// difference between runs is then the transport's fault.
+// detConfig pins the float-order noise source (frontier pop order), making
+// scores bitwise reproducible: any difference between runs is then the
+// transport's fault.
 func detConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.DeterministicPop = true
-	cfg.PushWorkers = 1
 	return cfg
 }
 

@@ -45,7 +45,6 @@ func TestZeroCopyPoisonedScoresIdentical(t *testing.T) {
 
 	cfg := core.DefaultConfig()
 	cfg.DeterministicPop = true
-	cfg.PushWorkers = 1
 	cfg.Eps = 1e-5
 
 	runPass := func(zeroCopy, aggregated bool, cacheBytes int64, rounds int) []map[int32]float64 {

@@ -16,7 +16,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"time"
 
 	"pprengine/internal/admit"
@@ -65,16 +64,6 @@ type Config struct {
 	// Overlap overlaps local fetch+push with in-flight remote fetches
 	// ("+Overlap").
 	Overlap bool
-	// PushWorkers is the thread count for the multi-threaded push.
-	// <= 0 means GOMAXPROCS.
-	PushWorkers int
-	// PushThreshold is the batch size above which push goes multi-threaded
-	// (paper §3.3's "simple strategy"). <= 0 means 64.
-	PushThreshold int
-	// LockedPush switches the push operator from the owner-compute
-	// (lock-eliminated) scheme to plain per-submap locking; an extra
-	// ablation axis.
-	LockedPush bool
 	// QueryTimeout bounds one query's wall-clock time: when > 0 the driver
 	// derives a deadline from it (on top of whatever deadline the caller's
 	// context already carries) and the query aborts with
@@ -119,27 +108,17 @@ type Config struct {
 	// caching). 0 admits every fetched row. Ignored when FeatCacheBytes
 	// is 0. Feature-fetch aggregation shares the AggWindow/AggRows knobs.
 	FeatAdmitMass float64
-	// Affinity routes a query's pop/push compute through a shard-affinity
-	// worker pool: PushWorkers long-lived goroutines, each owning a fixed
-	// set of pmap stripes (worker w owns stripes s with s % workers == w),
-	// over open-addressed flat probe tables instead of the mutex-striped Go
-	// maps. A stripe's Pop scan and Push applies then stay on one goroutine
-	// across rounds instead of being re-sharded through pushOwned's
-	// transient fork-join goroutines, and the inner loops run branch-light
-	// with no per-submap map overhead (DESIGN.md §5j). Scores are bitwise
-	// identical to the default engine under DeterministicPop — every push
-	// path claims all row residuals before applying any neighbor delta, in
-	// global row order. Default off, preserving the paper's ablation
-	// numbers' allocation profile exactly.
-	Affinity bool
 	// DeterministicPop sorts each Pop round's activated vertices by
-	// (shard, local) before pushing. Pop normally drains Go maps, whose
-	// iteration order is randomized, so float accumulation order — and
-	// scores at round-off level — vary run to run. With DeterministicPop
-	// (plus PushWorkers=1) a query's scores are bitwise reproducible, which
-	// is how tests isolate transport changes (e.g. fetch aggregation) from
-	// engine noise. Default off: the sort costs O(k log k) per round and the
-	// paper's numbers do not pay it.
+	// (shard, local) before pushing, and makes every push claim all of its
+	// rows before applying any neighbor delta. Without it rows are pushed in
+	// the activated set's insertion order, each claim interleaved with its
+	// neighbor applies: an order — and with it a float accumulation order and
+	// scores at round-off level — that the baseline engine cannot reproduce
+	// (its Go maps drain in random order, its forked pushes claim first). With
+	// it scores are bitwise identical across engines and runs, which is how
+	// tests isolate transport changes (e.g. fetch aggregation) from engine
+	// noise. Default off: the sort costs O(k log k) per round, and
+	// claims-first order converges in measurably more pushes.
 	DeterministicPop bool
 	// ZeroCopy routes remote fetches through the zero-copy hot path: RPC
 	// response payloads stay in pooled buffers, decoders return views that
@@ -218,28 +197,12 @@ type Config struct {
 // DefaultConfig returns the paper's default configuration.
 func DefaultConfig() Config {
 	return Config{
-		Alpha:         0.462,
-		Eps:           1e-6,
-		Mode:          FetchBatchCompress,
-		Overlap:       true,
-		PushWorkers:   runtime.GOMAXPROCS(0),
-		PushThreshold: 64,
-		ZeroCopy:      true,
+		Alpha:    0.462,
+		Eps:      1e-6,
+		Mode:     FetchBatchCompress,
+		Overlap:  true,
+		ZeroCopy: true,
 	}
-}
-
-func (c *Config) pushWorkers() int {
-	if c.PushWorkers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.PushWorkers
-}
-
-func (c *Config) pushThreshold() int {
-	if c.PushThreshold <= 0 {
-		return 64
-	}
-	return c.PushThreshold
 }
 
 // AggEnabled reports whether the config asks for cross-query fetch

@@ -148,16 +148,11 @@ func TestPushVariantsAgree(t *testing.T) {
 	storages, _, loc, cleanup := testDeployment(t, g, 2)
 	defer cleanup()
 	sh, lc := loc.Locate(3)
+	// The interleaved push, then the claims-first one (the forked schemes of
+	// the baseline engine are checked in internal/baseline).
 	configs := []Config{
-		func() Config { c := DefaultConfig(); c.PushWorkers = 1; return c }(),
-		func() Config { c := DefaultConfig(); c.PushWorkers = 4; c.PushThreshold = 1; return c }(),
-		func() Config {
-			c := DefaultConfig()
-			c.PushWorkers = 4
-			c.PushThreshold = 1
-			c.LockedPush = true
-			return c
-		}(),
+		DefaultConfig(),
+		func() Config { c := DefaultConfig(); c.DeterministicPop = true; return c }(),
 	}
 	var ref map[int32]float64
 	for i, cfg := range configs {
@@ -469,10 +464,6 @@ func TestFetchModeStrings(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}
-	if c.pushWorkers() <= 0 || c.pushThreshold() != 64 {
-		t.Fatal("defaults wrong")
-	}
 	d := DefaultConfig()
 	if d.Alpha != 0.462 || d.Eps != 1e-6 || d.Mode != FetchBatchCompress || !d.Overlap {
 		t.Fatalf("paper defaults wrong: %+v", d)
@@ -483,11 +474,11 @@ func TestSSPPRKeyedByShard(t *testing.T) {
 	// Two vertices with the same local ID in different shards must not
 	// collide in the maps.
 	m := NewSSPPR(0, 0, DefaultConfig())
-	m.r.Set(pmap.Key{Local: 0, Shard: 1}, 0.5)
-	if v, _ := m.r.Get(pmap.Key{Local: 0, Shard: 0}); v != 1 {
+	m.st.r.Set(pmap.Key{Local: 0, Shard: 1}, 0.5)
+	if v, _ := m.st.r.Get(pmap.Key{Local: 0, Shard: 0}); v != 1 {
 		t.Fatalf("source residual = %v", v)
 	}
-	if v, _ := m.r.Get(pmap.Key{Local: 0, Shard: 1}); v != 0.5 {
+	if v, _ := m.st.r.Get(pmap.Key{Local: 0, Shard: 1}); v != 0.5 {
 		t.Fatalf("other residual = %v", v)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"pprengine/internal/admit"
+	"pprengine/internal/delta"
 	"pprengine/internal/metrics"
 	"pprengine/internal/obs"
 	"pprengine/internal/pmap"
@@ -26,6 +27,21 @@ type QueryStats struct {
 	RequestBytes   int64 // request payload bytes attributed to this query
 }
 
+// Engine is the pop/push state machine the driver loop runs. The served
+// engine is *SSPPR; internal/baseline implements the interface over the
+// mutex-striped Go maps for the paper's ablations.
+type Engine interface {
+	// Pop returns the activated vertices and clears the set; the slices are
+	// valid until the next Pop.
+	Pop() (locals, shards []int32)
+	// Push applies one fetched batch, row i belonging to (locals[i], shards[i]).
+	Push(batch NeighborBatch, locals, shards []int32)
+	// Work returns the Pop rounds and push operations performed so far.
+	Work() (iterations int, pushes int64)
+	ScoreCount() int
+	RangeScores(func(pmap.Key, float64) bool)
+}
+
 // RunSSPPR executes one distributed SSPPR query for the source vertex
 // (sourceLocal, g.ShardID), following the iteration loop of Figure 4:
 //
@@ -40,36 +56,71 @@ type QueryStats struct {
 // checked between push iterations and on every remote wait, so a cancelled
 // query stops doing local work too and returns ctx's error. Aborted queries
 // report Timeouts=1 in their stats and bump metrics.QueryTimeouts.
+//
+// The returned state stays readable until the caller Releases it (optional,
+// see SSPPR.Release).
 func RunSSPPR(ctx context.Context, g *DistGraphStorage, sourceLocal int32, cfg Config, bd *metrics.Breakdown) (*SSPPR, QueryStats, error) {
-	ctx, cancel := cfg.applyQueryTimeout(ctx)
-	defer cancel()
+	q, err := beginQuery(ctx, g, &cfg)
+	if err != nil {
+		return nil, q.stats, err
+	}
+	// The state is drawn only now, behind admission: a queued query holds no
+	// tables.
+	m := NewSSPPR(sourceLocal, g.ShardID, cfg)
+	stats, err := runLoop(q.ctx, g, m, &m.st.loop, cfg, bd)
+	q.end(&stats, err)
+	return m, stats, err
+}
+
+// RunEngine is RunSSPPR for a caller-built engine: the same admission gate,
+// epoch pin, trace root and driver loop around eng's Pop and Push.
+func RunEngine(ctx context.Context, g *DistGraphStorage, eng Engine, cfg Config, bd *metrics.Breakdown) (QueryStats, error) {
+	q, err := beginQuery(ctx, g, &cfg)
+	if err != nil {
+		return q.stats, err
+	}
+	stats, err := runLoop(q.ctx, g, eng, new(loopScratch), cfg, bd)
+	q.end(&stats, err)
+	return stats, err
+}
+
+// queryScope is what a query holds from admission to its last push: the
+// derived context, the trace root, the admission slot and the epoch pin.
+type queryScope struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	root   obs.ActiveSpan
+	grant  *admit.Grant
+	delta  *delta.Store // non-nil when this scope pinned epoch itself
+	epoch  uint64
+	stats  QueryStats // of a query refused before it ran
+}
+
+// beginQuery opens a query's scope and resolves cfg.PinnedEpoch. On error the
+// scope is already closed.
+func beginQuery(ctx context.Context, g *DistGraphStorage, cfg *Config) (queryScope, error) {
+	var q queryScope
+	q.ctx, q.cancel = cfg.applyQueryTimeout(ctx)
 	// Root span of the query's trace. A context already carrying a trace
 	// (owner-compute dispatch: the coordinator sampled this query and its
 	// context crossed the wire) joins it; otherwise this machine makes the
 	// head-based sampling decision.
-	root := startQuerySpan(g.Tracer, ctx)
-	ctx = obs.ContextWith(ctx, root.Context())
+	q.root = startQuerySpan(g.Tracer, q.ctx)
+	q.ctx = obs.ContextWith(q.ctx, q.root.Context())
 	// Admission gate: with a controller attached the query first claims an
 	// execution slot — or is shed (admit.ErrShed) / queued under its
 	// priority. The gate sits AFTER applyQueryTimeout so the deadline
 	// feasibility check sees the query's real budget, and inside the root
 	// span so traces show the "admit:wait" time a saturated machine adds.
-	var grant *admit.Grant
 	if g.Admit != nil {
-		waitSpan := g.Tracer.StartSpan(obs.FromContext(ctx), "admit:wait")
+		waitSpan := g.Tracer.StartSpan(obs.FromContext(q.ctx), "admit:wait")
 		var aerr error
-		grant, aerr = g.Admit.Acquire(ctx, admit.Request{Tenant: cfg.Tenant, Priority: cfg.Priority})
+		q.grant, aerr = g.Admit.Acquire(q.ctx, admit.Request{Tenant: cfg.Tenant, Priority: cfg.Priority})
 		waitSpan.SetErr(aerr != nil)
 		waitSpan.End()
 		if aerr != nil {
-			var stats QueryStats
-			if isCtxErr(aerr) {
-				stats.Timeouts++
-				metrics.QueryTimeouts.Inc(1)
-			}
-			root.SetErr(true)
-			root.End()
-			return nil, stats, aerr
+			q.end(&q.stats, aerr)
+			return q, aerr
 		}
 	}
 	// Epoch resolution for mutable deployments: the query pins ONE mutation
@@ -80,22 +131,31 @@ func RunSSPPR(ctx context.Context, g *DistGraphStorage, sourceLocal int32, cfg C
 	// with the slot), else pin the store's current epoch here. Epoch 0 — a
 	// static deployment, or no mutations yet — keeps the legacy path exactly.
 	if cfg.PinnedEpoch == 0 && g.Delta != nil {
-		if grant != nil && grant.Epoch != 0 {
-			cfg.PinnedEpoch = grant.Epoch
+		if q.grant != nil && q.grant.Epoch != 0 {
+			cfg.PinnedEpoch = q.grant.Epoch
 		} else if e := g.Delta.PinCurrent(); e != 0 {
 			cfg.PinnedEpoch = e
-			defer g.Delta.Unpin(e)
+			q.delta, q.epoch = g.Delta, e
 		}
 	}
-	m, stats, err := runSSPPR(ctx, g, sourceLocal, cfg, bd)
-	grant.Release(err == nil) // nil-safe; records the service time on success
+	return q, nil
+}
+
+// end closes the scope: releases the admission slot (recording the service
+// time on success), counts a deadline abort into stats, and ends the root
+// span, the epoch pin and the derived context.
+func (q *queryScope) end(stats *QueryStats, err error) {
+	q.grant.Release(err == nil) // nil-safe
 	if err != nil && isCtxErr(err) {
 		stats.Timeouts++
 		metrics.QueryTimeouts.Inc(1)
 	}
-	root.SetErr(err != nil)
-	root.End()
-	return m, stats, err
+	q.root.SetErr(err != nil)
+	q.root.End()
+	if q.delta != nil {
+		q.delta.Unpin(q.epoch)
+	}
+	q.cancel()
 }
 
 // startQuerySpan opens the "query" span: as a child when ctx already carries
@@ -107,47 +167,127 @@ func startQuerySpan(tr *obs.Tracer, ctx context.Context) obs.ActiveSpan {
 	return tr.StartTrace("query")
 }
 
-func runSSPPR(ctx context.Context, g *DistGraphStorage, sourceLocal int32, cfg Config, bd *metrics.Breakdown) (*SSPPR, QueryStats, error) {
-	m := NewSSPPR(sourceLocal, g.ShardID, cfg)
-	stats, err := runSSPPRFrom(ctx, g, m, cfg, bd)
-	return m, stats, err
+// pendingFetch is one remote fetch of the round in flight.
+type pendingFetch struct {
+	shard int32
+	fut   *InfoFuture
 }
 
-// runSSPPRFrom drives the pop/fetch/push loop on an already-constructed
-// state until the residual frontier drains. It is the shared engine of a
-// fresh run (runSSPPR) and an incremental re-push (RunSSPPRIncremental),
-// which seeds m with cached reserves/residuals plus a mutation-correction
-// frontier before resuming the identical loop.
-func runSSPPRFrom(ctx context.Context, g *DistGraphStorage, m *SSPPR, cfg Config, bd *metrics.Breakdown) (QueryStats, error) {
-	defer m.Close() // stops the affinity worker pool; the score maps stay readable
-	var stats QueryStats
+// loopScratch holds the driver loop's per-round buffers: the per-shard
+// grouping, the halo diversion slices, the pending-fetch list and the
+// constant shard-ID column of a push. Each is reset, never reallocated, per
+// round, and the served engine carries the whole set from query to query.
+type loopScratch struct {
+	byShard                [][]int32
+	remotes                []pendingFetch
+	batches                []NeighborBatch // synchronous (non-Overlap) variant only
+	haloVPs                []shard.VertexProp
+	haloLocals, haloShards []int32
+	shardIDs               []int32
+}
+
+// reset drops what the scratch references outside itself — futures, response
+// batches, shard rows — so a recycled state pins none of a finished query's
+// or a closed cluster's memory.
+func (sc *loopScratch) reset() {
+	clear(sc.remotes[:cap(sc.remotes)])
+	clear(sc.batches[:cap(sc.batches)])
+	clear(sc.haloVPs[:cap(sc.haloVPs)])
+}
+
+// sameShard returns n copies of shard, the shard column of a single-shard
+// push batch.
+func (sc *loopScratch) sameShard(n int, shard int32) []int32 {
+	if cap(sc.shardIDs) < n {
+		sc.shardIDs = make([]int32, n)
+	}
+	s := sc.shardIDs[:n]
+	for i := range s {
+		s[i] = shard
+	}
+	return s
+}
+
+// runLoop drives the pop/fetch/push loop on an already-constructed engine
+// until the residual frontier drains. It is the shared engine of a fresh run
+// (RunSSPPR), a baseline run (RunEngine) and an incremental re-push
+// (RunSSPPRIncrementalTopK), which seeds the state with cached
+// reserves/residuals plus a mutation-correction frontier before resuming the
+// identical loop.
+func runLoop(ctx context.Context, g *DistGraphStorage, m Engine, sc *loopScratch, cfg Config, bd *metrics.Breakdown) (stats QueryStats, err error) {
+	defer func() {
+		if err != nil {
+			// An aborted query leaves fetches in flight that still read the ID
+			// slices they were issued with; the next user of sc must not write
+			// into those.
+			clear(sc.byShard)
+		}
+	}()
 	// Phase spans mirror bd's phases for sampled queries; tr is nil-safe and
 	// qsc is zero for unsampled ones, making every StartSpan below a no-op.
 	tr, qsc := g.Tracer, obs.FromContext(ctx)
-	// Scratch buffers reused across iterations: the per-shard grouping, the
-	// halo diversion slices, and the pending-fetch list. Pop's output is
-	// likewise reused via scratch on the SSPPR state. Each is reset, never
-	// reallocated, per round — the driver loop runs allocation-light.
-	byShard := make([][]int32, g.NumShards)
-	type pending struct {
-		shard int32
-		fut   *InfoFuture
+	if cap(sc.byShard) < int(g.NumShards) {
+		sc.byShard = make([][]int32, g.NumShards)
 	}
-	var remotes []pending
-	var haloVPs []shard.VertexProp
-	var haloLocals, haloShards []int32
-	// shardScratch backs sameShard's output; one grow-only slice instead of a
-	// fresh allocation per push call.
-	var shardScratch []int32
-	sameShard := func(n int, shard int32) []int32 {
-		if cap(shardScratch) < n {
-			shardScratch = make([]int32, n)
+	byShard := sc.byShard[:g.NumShards]
+	self := g.ShardID
+	// bd.Time takes closures that stay on the stack; bd.Start's stop function
+	// is a heap object per call.
+	pushShard := func(batch NeighborBatch, sh int32) {
+		pushSpan := tr.StartSpan(qsc, "push")
+		bd.Time(metrics.PhasePush, func() {
+			m.Push(batch, byShard[sh], sc.sameShard(len(byShard[sh]), sh))
+		})
+		pushSpan.End()
+	}
+	// account adds a resolved fetch's retry and wire counters to stats. It
+	// must run after the wait: an aggregated fetch only knows its share of
+	// the flush once the flush resolved.
+	account := func(fut *InfoFuture) {
+		stats.Retries += fut.Retries()
+		stats.RPCRequests += fut.RPCRequests()
+		stats.RequestBytes += fut.RequestBytes()
+	}
+	// wait resolves one remote fetch of the round.
+	wait := func(p pendingFetch) (batch NeighborBatch, err error) {
+		waitSpan := tr.StartSpan(qsc, "remote-fetch")
+		waitSpan.SetShard(p.shard)
+		bd.Time(metrics.PhaseRemoteFetch, func() {
+			batch, err = p.fut.WaitCtx(ctx)
+			account(p.fut)
+		})
+		waitSpan.SetErr(err != nil)
+		waitSpan.End()
+		return batch, err
+	}
+	pushLocal := func() error {
+		if len(sc.haloVPs) > 0 {
+			// Halo-cached rows: shared-memory fetch, like local rows.
+			stats.HaloRows += int64(len(sc.haloVPs))
+			var hb NeighborBatch
+			bd.Time(metrics.PhaseLocalFetch, func() { hb = VPBatch(sc.haloVPs) })
+			bd.Time(metrics.PhasePush, func() { m.Push(hb, sc.haloLocals, sc.haloShards) })
 		}
-		s := shardScratch[:n]
-		for i := range s {
-			s[i] = shard
+		if len(byShard[self]) == 0 {
+			return nil
 		}
-		return s
+		var batch NeighborBatch
+		var err error
+		fetchSpan := tr.StartSpan(qsc, "local-fetch")
+		fetchSpan.SetShard(self)
+		bd.Time(metrics.PhaseLocalFetch, func() {
+			fut := g.GetNeighborInfos(ctx, self, byShard[self], cfg)
+			batch, err = fut.WaitCtx(ctx)
+			account(fut)
+		})
+		fetchSpan.SetErr(err != nil)
+		fetchSpan.End()
+		if err != nil {
+			return err
+		}
+		stats.LocalRows += int64(len(byShard[self]))
+		pushShard(batch, self)
+		return nil
 	}
 	for {
 		// Deadline check at the top of every push iteration: a cancelled
@@ -155,11 +295,10 @@ func runSSPPRFrom(ctx context.Context, g *DistGraphStorage, m *SSPPR, cfg Config
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		stopPop := bd.Start(metrics.PhasePop)
+		var locals, shards []int32
 		popSpan := tr.StartSpan(qsc, "pop")
-		locals, shards := m.Pop()
+		bd.Time(metrics.PhasePop, func() { locals, shards = m.Pop() })
 		popSpan.End()
-		stopPop()
 		if len(locals) == 0 {
 			break
 		}
@@ -170,9 +309,8 @@ func runSSPPRFrom(ctx context.Context, g *DistGraphStorage, m *SSPPR, cfg Config
 		for i := range byShard {
 			byShard[i] = byShard[i][:0]
 		}
-		self := g.ShardID
-		haloVPs = haloVPs[:0]
-		haloLocals, haloShards = haloLocals[:0], haloShards[:0]
+		sc.haloVPs = sc.haloVPs[:0]
+		sc.haloLocals, sc.haloShards = sc.haloLocals[:0], sc.haloShards[:0]
 		useHalo := g.Local.HasHaloRows()
 		epoch := cfg.PinnedEpoch
 		for i, l := range locals {
@@ -186,9 +324,9 @@ func runSSPPRFrom(ctx context.Context, g *DistGraphStorage, m *SSPPR, cfg Config
 						// shared-memory read, no RPC.
 						vp = g.Delta.PatchHalo(vp, sh, l, epoch)
 					}
-					haloVPs = append(haloVPs, vp)
-					haloLocals = append(haloLocals, l)
-					haloShards = append(haloShards, sh)
+					sc.haloVPs = append(sc.haloVPs, vp)
+					sc.haloLocals = append(sc.haloLocals, l)
+					sc.haloShards = append(sc.haloShards, sh)
 					continue
 				}
 			}
@@ -196,132 +334,64 @@ func runSSPPRFrom(ctx context.Context, g *DistGraphStorage, m *SSPPR, cfg Config
 		}
 
 		// Issue remote fetches first so they progress in the background.
-		remotes = remotes[:0]
-		stopIssue := bd.Start(metrics.PhaseRemoteFetch)
-		for j := int32(0); j < g.NumShards; j++ {
-			if j == self || len(byShard[j]) == 0 {
-				continue
+		sc.remotes = sc.remotes[:0]
+		bd.Time(metrics.PhaseRemoteFetch, func() {
+			for j := int32(0); j < g.NumShards; j++ {
+				if j == self || len(byShard[j]) == 0 {
+					continue
+				}
+				fut := g.GetNeighborInfos(ctx, j, byShard[j], cfg)
+				sc.remotes = append(sc.remotes, pendingFetch{j, fut})
+				// With the dynamic cache, rows served from shared memory or a
+				// coalesced in-flight fetch are not RPC traffic.
+				stats.RemoteRows += fut.RemoteRows()
+				stats.CacheHits += fut.CacheHits()
+				stats.CacheCoalesced += fut.CacheCoalesced()
 			}
-			fut := g.GetNeighborInfos(ctx, j, byShard[j], cfg)
-			remotes = append(remotes, pending{j, fut})
-			// With the dynamic cache, rows served from shared memory or a
-			// coalesced in-flight fetch are not RPC traffic.
-			stats.RemoteRows += fut.RemoteRows()
-			stats.CacheHits += fut.CacheHits()
-			stats.CacheCoalesced += fut.CacheCoalesced()
-		}
-		stopIssue()
-
-		pushLocal := func() error {
-			if len(haloVPs) > 0 {
-				// Halo-cached rows: shared-memory fetch, like local rows.
-				stats.HaloRows += int64(len(haloVPs))
-				var hb NeighborBatch
-				bd.Time(metrics.PhaseLocalFetch, func() { hb = VPBatch(haloVPs) })
-				bd.Time(metrics.PhasePush, func() { m.Push(hb, haloLocals, haloShards) })
-			}
-			if len(byShard[self]) == 0 {
-				return nil
-			}
-			var batch NeighborBatch
-			var err error
-			fetchSpan := tr.StartSpan(qsc, "local-fetch")
-			fetchSpan.SetShard(self)
-			bd.Time(metrics.PhaseLocalFetch, func() {
-				fut := g.GetNeighborInfos(ctx, self, byShard[self], cfg)
-				batch, err = fut.WaitCtx(ctx)
-				stats.Retries += fut.Retries()
-				stats.RPCRequests += fut.RPCRequests()
-				stats.RequestBytes += fut.RequestBytes()
-			})
-			fetchSpan.SetErr(err != nil)
-			fetchSpan.End()
-			if err != nil {
-				return err
-			}
-			stats.LocalRows += int64(len(byShard[self]))
-			pushSpan := tr.StartSpan(qsc, "push")
-			bd.Time(metrics.PhasePush, func() {
-				m.Push(batch, byShard[self], sameShard(len(byShard[self]), self))
-			})
-			pushSpan.End()
-			return nil
-		}
+		})
 
 		if cfg.Overlap {
 			// Local work proceeds while remote responses are in flight.
 			if err := pushLocal(); err != nil {
 				return stats, err
 			}
-			for _, p := range remotes {
-				var batch NeighborBatch
-				var err error
-				waitSpan := tr.StartSpan(qsc, "remote-fetch")
-				waitSpan.SetShard(p.shard)
-				bd.Time(metrics.PhaseRemoteFetch, func() {
-					batch, err = p.fut.WaitCtx(ctx)
-					stats.Retries += p.fut.Retries()
-					// Wire accounting must be read after the wait: an
-					// aggregated fetch only knows its share of the flush once
-					// the flush resolved.
-					stats.RPCRequests += p.fut.RPCRequests()
-					stats.RequestBytes += p.fut.RequestBytes()
-				})
-				waitSpan.SetErr(err != nil)
-				waitSpan.End()
+			for _, p := range sc.remotes {
+				batch, err := wait(p)
 				if err != nil {
 					return stats, err
 				}
-				pushSpan := tr.StartSpan(qsc, "push")
-				bd.Time(metrics.PhasePush, func() {
-					m.Push(batch, byShard[p.shard], sameShard(len(byShard[p.shard]), p.shard))
-				})
-				pushSpan.End()
+				pushShard(batch, p.shard)
 				// The push copied what it keeps; the pooled response buffer
 				// backing the batch goes back to its pool.
 				p.fut.Release()
 			}
 		} else {
 			// Synchronous variant: complete every fetch before pushing.
-			batches := make([]NeighborBatch, len(remotes))
-			for i, p := range remotes {
-				var err error
-				waitSpan := tr.StartSpan(qsc, "remote-fetch")
-				waitSpan.SetShard(p.shard)
-				bd.Time(metrics.PhaseRemoteFetch, func() {
-					batches[i], err = p.fut.WaitCtx(ctx)
-					stats.Retries += p.fut.Retries()
-					stats.RPCRequests += p.fut.RPCRequests()
-					stats.RequestBytes += p.fut.RequestBytes()
-				})
-				waitSpan.SetErr(err != nil)
-				waitSpan.End()
+			sc.batches = sc.batches[:0]
+			for _, p := range sc.remotes {
+				batch, err := wait(p)
 				if err != nil {
 					return stats, err
 				}
+				sc.batches = append(sc.batches, batch)
 			}
 			if err := pushLocal(); err != nil {
 				return stats, err
 			}
-			for i, p := range remotes {
-				pushSpan := tr.StartSpan(qsc, "push")
-				bd.Time(metrics.PhasePush, func() {
-					m.Push(batches[i], byShard[p.shard], sameShard(len(byShard[p.shard]), p.shard))
-				})
-				pushSpan.End()
+			for i, p := range sc.remotes {
+				pushShard(sc.batches[i], p.shard)
 				p.fut.Release()
 			}
 		}
 	}
-	stats.Iterations = m.Iterations
-	stats.Pushes = m.Pushes
+	stats.Iterations, stats.Pushes = m.Work()
 	stats.TouchedNodes = m.ScoreCount()
 	return stats, nil
 }
 
 // ScoresGlobal converts a query's sparse result to global node IDs using
 // the storage's locator.
-func ScoresGlobal(g *DistGraphStorage, m *SSPPR) map[int32]float64 {
+func ScoresGlobal(g *DistGraphStorage, m Engine) map[int32]float64 {
 	out := make(map[int32]float64, m.ScoreCount())
 	m.RangeScores(func(k pmap.Key, v float64) bool {
 		out[int32(g.Locator.Global(k.Shard, k.Local))] = v

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"sort"
 	"sync"
@@ -153,7 +152,9 @@ func RunSSPPRIncrementalTopK(ctx context.Context, g *DistGraphStorage, cache *Re
 			return nil, stats, ic, err
 		}
 		cache.put(sourceLocal, snapshotState(m, epoch, cfg))
-		return m.TopK(k), stats, ic, nil
+		top := m.TopK(k)
+		m.Release()
+		return top, stats, ic, nil
 	}
 
 	st := cache.get(sourceLocal)
@@ -203,11 +204,12 @@ func RunSSPPRIncrementalTopK(ctx context.Context, g *DistGraphStorage, cache *Re
 	ic.Mode = "repush"
 	metrics.IncrementalRepushes.Inc(1)
 	m := newEmptySSPPR(cfg)
+	defer m.Release()
 	for key, v := range st.p {
-		m.seedScore(key, v)
+		m.st.p.Set(key, v)
 	}
 	for key, v := range st.r {
-		m.seedResidual(key, v)
+		m.st.r.Set(key, v)
 	}
 	sort.Slice(mutated, func(i, j int) bool {
 		if mutated[i].Shard != mutated[j].Shard {
@@ -271,9 +273,8 @@ func RunSSPPRIncrementalTopK(ctx context.Context, g *DistGraphStorage, cache *Re
 		return ckeys[i].Local < ckeys[j].Local
 	})
 	for _, t := range ckeys {
-		nv := m.addResidual(t, corr[t])
-		if nv > cfg.Eps*wdegAt[t] {
-			m.activate(t)
+		if nv := m.st.r.AddP(t.Packed(), corr[t]); nv > cfg.Eps*wdegAt[t] {
+			m.st.act.InsertP(t.Packed())
 		}
 	}
 	// Mutated vertices whose residual predates the corrections: their degree
@@ -284,11 +285,11 @@ func RunSSPPRIncrementalTopK(ctx context.Context, g *DistGraphStorage, cache *Re
 		if _, corrected := corr[ukey]; corrected {
 			continue
 		}
-		if rv := m.residual(ukey); rv > cfg.Eps*wdegAt[ukey] {
-			m.activate(ukey)
+		if rv, _ := m.st.r.Get(ukey); rv > cfg.Eps*wdegAt[ukey] {
+			m.st.act.InsertP(ukey.Packed())
 		}
 	}
-	stats, err := runSSPPRFrom(ctx, g, m, cfg, bd)
+	stats, err := runLoop(ctx, g, m, &m.st.loop, cfg, bd)
 	if err != nil {
 		return nil, stats, ic, err
 	}
@@ -297,7 +298,8 @@ func RunSSPPRIncrementalTopK(ctx context.Context, g *DistGraphStorage, cache *Re
 }
 
 // snapshotState copies a finished run's reserve and residual maps into a
-// cache entry (plain maps — the engine state itself is Closed by the driver).
+// cache entry (plain maps — the engine state itself goes back to the free
+// list).
 func snapshotState(m *SSPPR, epoch uint64, cfg Config) *residState {
 	st := &residState{
 		epoch: epoch,
@@ -317,28 +319,4 @@ func snapshotState(m *SSPPR, epoch uint64, cfg Config) *residState {
 		return true
 	})
 	return st
-}
-
-// topKOfMap is SSPPR.TopK over a cached reserve map: same bounded min-heap,
-// same deterministic tie-breaks, so a cache hit's ranking is byte-identical
-// to the run that produced it.
-func topKOfMap(p map[pmap.Key]float64, k int) []ScoredNode {
-	if k <= 0 {
-		return nil
-	}
-	h := make(scoredHeap, 0, k+1)
-	for key, v := range p {
-		s := ScoredNode{key, v}
-		if len(h) < k {
-			heap.Push(&h, s)
-		} else if !h.worse(s) {
-			h[0] = s
-			heap.Fix(&h, 0)
-		}
-	}
-	out := make([]ScoredNode, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(ScoredNode)
-	}
-	return out
 }

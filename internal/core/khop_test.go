@@ -198,10 +198,10 @@ func TestSampleNeighborsRemoteError(t *testing.T) {
 
 func TestTopK(t *testing.T) {
 	m := NewSSPPR(0, 0, DefaultConfig())
-	m.p.Set(pmap.Key{Local: 1, Shard: 0}, 0.5)
-	m.p.Set(pmap.Key{Local: 2, Shard: 0}, 0.9)
-	m.p.Set(pmap.Key{Local: 3, Shard: 1}, 0.1)
-	m.p.Set(pmap.Key{Local: 4, Shard: 1}, 0.9)
+	m.st.p.Set(pmap.Key{Local: 1, Shard: 0}, 0.5)
+	m.st.p.Set(pmap.Key{Local: 2, Shard: 0}, 0.9)
+	m.st.p.Set(pmap.Key{Local: 3, Shard: 1}, 0.1)
+	m.st.p.Set(pmap.Key{Local: 4, Shard: 1}, 0.9)
 	top := m.TopK(2)
 	if len(top) != 2 {
 		t.Fatalf("len = %d", len(top))

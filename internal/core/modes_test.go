@@ -90,7 +90,7 @@ func TestQuickTopKMatchesSort(t *testing.T) {
 			}
 			seen[key] = true
 			v := rng.Float64()
-			m.p.Set(key, v)
+			m.st.p.Set(key, v)
 			all = append(all, kv{key, v})
 		}
 		k := int(kRaw%20) + 1

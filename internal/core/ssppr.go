@@ -1,9 +1,12 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"runtime"
+	"slices"
 	"sync"
 
+	"pprengine/internal/mem"
 	"pprengine/internal/metrics"
 	"pprengine/internal/pmap"
 )
@@ -11,194 +14,142 @@ import (
 // SSPPR holds the state of one single-source PPR query on the machine that
 // owns the source (the owner-compute rule of §3.1): the PPR map p, the
 // residual map r, and the activated-vertex set, all keyed by
-// (local ID, shard ID).
+// (local ID, shard ID) in open-addressed flat tables (DESIGN.md §5j).
 //
 // The two operators exposed to the driver loop mirror the paper's PPR Ops:
-// Pop drains the activated set; Push applies a batch of neighbor updates,
-// multi-threaded when the batch is large enough.
+// Pop drains the activated set; Push applies a batch of neighbor updates on
+// the calling goroutine. Cores are filled by running queries side by side,
+// not by splitting one query's push.
 //
-// Every push path uses the same two-phase semantics: first claim the full
-// residual of every batch row (crediting p), then apply all neighbor deltas
-// in global row order. Residual mass a row receives from earlier rows of the
-// same batch therefore stays in r for a later round instead of being pushed
-// immediately — both are valid eps-approximations, and the shared order makes
-// the sequential, owner-compute, and affinity engines bitwise identical under
-// DeterministicPop (the -exp hotpath2 gate).
-//
-// With cfg.Affinity the state lives in open-addressed flat tables owned by a
-// long-lived worker pool (DESIGN.md §5j) instead of the mutex-striped Go
-// maps; Close releases the pool (the maps stay readable).
+// Lifecycle: New → run → read → Release. The tables and scratch behind a
+// query come from a bounded process-wide free list and go back to it on
+// Release, reset in time proportional to what the query touched; after
+// Release every method panics. A state that is never released is ordinary
+// garbage, so a caller may keep reading scores for as long as it likes.
 type SSPPR struct {
-	cfg       Config
-	p         *pmap.Striped
-	r         *pmap.Striped
-	activated *pmap.ConcurrentSet
+	cfg Config
+	st  *engineState // nil once Released
 
-	// Affinity-engine state (cfg.Affinity): flat probe tables plus the
-	// worker pool that owns their stripes. pool is nil when one worker
-	// suffices — the sequential flat path needs no goroutines.
-	fp         *pmap.Flat
-	fr         *pmap.Flat
-	fact       *pmap.FlatSet
-	pool       *pmap.Pool
-	affWorkers int
+	pushes     int64 // applied push operations
+	iterations int   // Pop rounds
+}
 
-	// Pushes counts applied push operations (for parity with the
-	// single-machine kernels in tests).
-	Pushes int64
-	// Iterations counts Pop rounds.
-	Iterations int
+// engineState is everything a query allocates that the next one can reuse:
+// the tables, the Pop and claim scratch, and the driver loop's slices.
+type engineState struct {
+	p, r *pmap.Flat
+	act  *pmap.FlatSet
 
-	// Pop scratch, reused across rounds so a long query does not allocate
-	// three fresh slices per iteration.
+	// Pop scratch: the drained keys and their split into the parallel
+	// local/shard slices Pop returns.
 	popKeys   []pmap.Key
 	popLocals []int32
 	popShards []int32
-	// popPerWorker is the affinity drain scratch: worker w drains its owned
-	// stripes into popPerWorker[w].
-	popPerWorker [][]pmap.Key
-
-	// masses is the claim-phase scratch shared by the sequential paths:
-	// masses[i] is row i's propagating mass, 0 for stale or dangling rows.
+	// masses is the claim-phase scratch of the deterministic push: masses[i] is row i's propagating mass, 0 for stale or dangling
+	// rows.
 	masses []float64
-	// Affinity push scratch, all reused across rounds: the per-owner row
-	// partition, the W×W producer→destination update buckets, and the
-	// per-worker push counters.
-	rowsByOwner  [][]int32
-	buckets      []affBucket
-	workerPushes []int64
 	// lastGrows is the grow-counter watermark already flushed to
 	// metrics.PmapGrows.
 	lastGrows int64
+
+	loop loopScratch
 }
 
-// affUpd is one materialized neighbor update in an affinity push bucket: add
-// Delta to the packed key's residual, then check activation against Aux (the
-// neighbor's weighted degree).
-type affUpd struct {
-	key   uint64
-	delta float64
-	aux   float64
+// maxPooledSlots bounds the tables a released state may keep: a state whose
+// reserve or residual table grew past it (16 bytes a slot, so 2 MiB a table)
+// is dropped instead of retained, so one hub query cannot pin its footprint
+// for the life of the process.
+const maxPooledSlots = 1 << 17
+
+// freeStates is the process-wide free list of engine states, at most
+// GOMAXPROCS of them: more queries than cores in flight means the extra ones
+// allocate, and their states are dropped on Release.
+var freeStates struct {
+	mu   sync.Mutex
+	idle []*engineState
 }
 
-// affRun marks a contiguous same-source-row run inside a bucket's update
-// list, so the apply phase can merge producers by global row index without
-// tagging every update.
-type affRun struct {
-	row int32
-	n   int32
+func acquireState() *engineState {
+	fs := &freeStates
+	fs.mu.Lock()
+	if n := len(fs.idle); n > 0 {
+		st := fs.idle[n-1]
+		fs.idle[n-1] = nil
+		fs.idle = fs.idle[:n-1]
+		fs.mu.Unlock()
+		return st
+	}
+	fs.mu.Unlock()
+	return &engineState{p: pmap.NewFlat(1024), r: pmap.NewFlat(1024), act: pmap.NewFlatSet(256)}
 }
 
-// affBucket carries the updates one producer worker materialized for one
-// destination worker, in increasing source-row order.
-type affBucket struct {
-	upds []affUpd
-	runs []affRun
+func releaseState(st *engineState) {
+	if mem.PoisonEnabled() {
+		// Debug mode: scribble what the query could still be holding and drop
+		// the state, so a use after Release reads values no query produces.
+		st.poison()
+		return
+	}
+	if st.p.Cap() > maxPooledSlots || st.r.Cap() > maxPooledSlots {
+		return
+	}
+	st.reset()
+	fs := &freeStates
+	fs.mu.Lock()
+	if len(fs.idle) < runtime.GOMAXPROCS(0) {
+		fs.idle = append(fs.idle, st)
+	}
+	fs.mu.Unlock()
 }
 
-// NewSSPPR initializes the query state for the given source vertex. With
-// cfg.Affinity the caller owns the returned state's worker pool and must
-// Close it when the query finishes (the driver does).
+// reset empties the state for the next query. The activated set is already
+// empty after a completed run; an aborted one may have left vertices behind.
+func (st *engineState) reset() {
+	st.p.Clear()
+	st.r.Clear()
+	st.popKeys = st.act.Drain(st.popKeys[:0])[:0]
+	st.loop.reset()
+}
+
+func (st *engineState) poison() {
+	st.p.Poison()
+	st.r.Poison()
+	fill := uint32(0xDBDBDBDB) // mem's poison byte, as an ID no shard holds
+	poisonID := int32(fill)
+	for _, s := range [][]int32{st.popLocals[:cap(st.popLocals)], st.popShards[:cap(st.popShards)]} {
+		for i := range s {
+			s[i] = poisonID
+		}
+	}
+}
+
+// NewSSPPR initializes the query state for the given source vertex.
 func NewSSPPR(sourceLocal, sourceShard int32, cfg Config) *SSPPR {
 	m := newEmptySSPPR(cfg)
 	src := pmap.Key{Local: sourceLocal, Shard: sourceShard}
-	m.seedResidual(src, 1)
-	m.activate(src)
+	m.st.r.Set(src, 1)
+	m.st.act.InsertP(src.Packed())
 	return m
 }
 
-// newEmptySSPPR allocates the engine state with no seeded residual — the
+// newEmptySSPPR draws an engine state with no seeded residual — the
 // incremental path (core/incremental.go) loads a cached query's reserves and
 // residuals into it before resuming the driver loop.
 func newEmptySSPPR(cfg Config) *SSPPR {
-	m := &SSPPR{cfg: cfg}
-	if cfg.Affinity {
-		w := cfg.pushWorkers()
-		if w > pmap.NumSubmaps {
-			w = pmap.NumSubmaps
-		}
-		if w < 1 {
-			w = 1
-		}
-		m.affWorkers = w
-		m.fp = pmap.NewFlat(1024)
-		m.fr = pmap.NewFlat(1024)
-		m.fact = pmap.NewFlatSet(256)
-		if w > 1 {
-			m.pool = pmap.NewPool(w)
-			m.popPerWorker = make([][]pmap.Key, w)
-			m.rowsByOwner = make([][]int32, w)
-			m.buckets = make([]affBucket, w*w)
-			m.workerPushes = make([]int64, w)
-		}
-		return m
-	}
-	m.p = pmap.NewStriped(1024)
-	m.r = pmap.NewStriped(1024)
-	m.activated = pmap.NewConcurrentSet(256)
-	return m
+	return &SSPPR{cfg: cfg, st: acquireState()}
 }
 
-// seedScore sets the PPR reserve of one vertex (incremental seeding; call
-// only before the driver loop starts).
-func (m *SSPPR) seedScore(k pmap.Key, v float64) {
-	if m.cfg.Affinity {
-		m.fp.Set(k, v)
+// Release returns the query's tables and scratch for reuse. Call it once the
+// scores have been extracted (TopK, RangeScores, ...): the SSPPR and every
+// slice Pop returned are invalid afterwards. Nil-safe and idempotent; not
+// calling it is allowed and merely leaves the state to the garbage collector.
+func (m *SSPPR) Release() {
+	if m == nil || m.st == nil {
 		return
 	}
-	m.p.Set(k, v)
-}
-
-// seedResidual sets the residual of one vertex (incremental seeding).
-func (m *SSPPR) seedResidual(k pmap.Key, v float64) {
-	if m.cfg.Affinity {
-		m.fr.Set(k, v)
-		return
-	}
-	m.r.Set(k, v)
-}
-
-// addResidual adds delta to one vertex's residual and returns the new value
-// (incremental correction seeding; single-goroutine).
-func (m *SSPPR) addResidual(k pmap.Key, delta float64) float64 {
-	if m.cfg.Affinity {
-		return m.fr.AddP(k.Packed(), delta)
-	}
-	return m.r.AddSeq(k, delta)
-}
-
-// residual reads one vertex's current residual (0 when absent).
-func (m *SSPPR) residual(k pmap.Key) float64 {
-	var v float64
-	var ok bool
-	if m.cfg.Affinity {
-		v, ok = m.fr.Get(k)
-	} else {
-		v, ok = m.r.Get(k)
-	}
-	if !ok {
-		return 0
-	}
-	return v
-}
-
-// activate inserts one vertex into the activated set.
-func (m *SSPPR) activate(k pmap.Key) {
-	if m.cfg.Affinity {
-		m.fact.InsertP(k.Packed())
-		return
-	}
-	m.activated.Insert(k)
-}
-
-// Close stops the affinity worker pool, if any. The score and residual maps
-// stay readable (Scores, TopK, ResidualMass); only Push/Pop must not be
-// called afterwards. No-op for the default engine, idempotent either way.
-func (m *SSPPR) Close() {
-	if m.pool != nil {
-		m.pool.Close()
-		m.pool = nil
-	}
+	st := m.st
+	m.st = nil
+	releaseState(st)
 }
 
 // Pop returns the current activated vertices as parallel local-ID and
@@ -206,61 +157,45 @@ func (m *SSPPR) Close() {
 // scratch owned by the SSPPR state and remain valid only until the next Pop
 // call; callers that need to retain them across rounds must copy.
 func (m *SSPPR) Pop() (locals, shards []int32) {
-	if m.cfg.Affinity {
-		m.popKeys = m.drainAffinity(m.popKeys[:0])
-	} else {
-		m.popKeys = m.activated.Drain(m.popKeys[:0])
-	}
-	keys := m.popKeys
+	st := m.st
+	st.popKeys = st.act.Drain(st.popKeys[:0])
+	keys := st.popKeys
 	if len(keys) == 0 {
 		return nil, nil
 	}
 	if m.cfg.DeterministicPop {
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Shard != keys[j].Shard {
-				return keys[i].Shard < keys[j].Shard
-			}
-			return keys[i].Local < keys[j].Local
-		})
+		slices.SortFunc(keys, compareKeys)
 	}
-	m.Iterations++
-	m.popLocals = m.popLocals[:0]
-	m.popShards = m.popShards[:0]
+	m.iterations++
+	st.popLocals = st.popLocals[:0]
+	st.popShards = st.popShards[:0]
 	for _, k := range keys {
-		m.popLocals = append(m.popLocals, k.Local)
-		m.popShards = append(m.popShards, k.Shard)
+		st.popLocals = append(st.popLocals, k.Local)
+		st.popShards = append(st.popShards, k.Shard)
 	}
-	return m.popLocals, m.popShards
+	return st.popLocals, st.popShards
 }
 
-// drainAffinity empties the flat activated set: each pool worker scans only
-// its owned stripes (the dense insertion lists make the scan branch-light),
-// and the per-worker buffers are concatenated in worker order.
-func (m *SSPPR) drainAffinity(dst []pmap.Key) []pmap.Key {
-	if m.pool == nil {
-		return m.fact.Drain(dst)
+// compareKeys orders keys by (shard, local) — the DeterministicPop order.
+func compareKeys(a, b pmap.Key) int {
+	if a.Shard != b.Shard {
+		return cmp.Compare(a.Shard, b.Shard)
 	}
-	w := m.affWorkers
-	m.pool.Do(func(i int) {
-		buf := m.popPerWorker[i][:0]
-		for si := i; si < pmap.NumSubmaps; si += w {
-			buf = m.fact.DrainStripe(si, buf)
-		}
-		m.popPerWorker[i] = buf
-	})
-	for _, buf := range m.popPerWorker {
-		dst = append(dst, buf...)
-	}
-	return dst
+	return cmp.Compare(a.Local, b.Local)
 }
 
 // Push applies one fetched batch: batch row i holds the neighbor info of
 // the source vertex (locals[i], shards[i]). It updates p and r and inserts
 // newly activated vertices into the activated set.
 //
-// Following §3.3, the batch goes multi-threaded only above the configured
-// threshold; below it a single thread avoids fork-join (or pool-round)
-// overhead.
+// Each row's full residual is claimed (crediting p) and spread over the row's
+// neighbors. Without DeterministicPop a row's claim is interleaved with its
+// neighbor applies, so residual a row receives from an earlier row of the SAME
+// batch propagates this round instead of waiting for the next: measurably
+// fewer pushes. Deterministic runs claim every row first and apply in global
+// row order afterwards — the order of the baseline engine's sequential and
+// owner-compute pushes, which makes the engines bitwise identical (the
+// -exp hotpath2 gate).
 func (m *SSPPR) Push(batch NeighborBatch, locals, shards []int32) {
 	if batch.NumRows() != len(locals) || len(locals) != len(shards) {
 		panic("core: Push batch size mismatch")
@@ -268,178 +203,60 @@ func (m *SSPPR) Push(batch NeighborBatch, locals, shards []int32) {
 	if batch.NumRows() == 0 {
 		return
 	}
-	if m.cfg.Affinity {
-		if batch.NumRows() <= m.cfg.pushThreshold() || m.pool == nil {
-			m.pushFlatSequential(batch, locals, shards)
-			return
-		}
-		m.pushAffinity(batch, locals, shards)
-		return
+	if m.cfg.DeterministicPop {
+		m.pushClaimsFirst(batch, locals, shards)
+	} else {
+		m.pushInterleaved(batch, locals, shards)
 	}
-	workers := m.cfg.pushWorkers()
-	if batch.NumRows() <= m.cfg.pushThreshold() || workers <= 1 {
-		m.pushSequential(batch, locals, shards)
-		return
-	}
-	if m.cfg.LockedPush {
-		m.pushLocked(batch, locals, shards, workers)
-		return
-	}
-	m.pushOwned(batch, locals, shards, workers)
+	m.flushGrowMetrics()
 }
 
-// claimRow atomically takes the full residual of a source vertex and
-// credits its PPR value. Returns the propagating mass m (0 when the row is
-// stale or a dangling node).
-func (m *SSPPR) claimRow(key pmap.Key, rowWDeg float32) float64 {
-	rv := m.r.Swap(key, 0)
-	if rv <= 0 {
-		return 0 // nothing to propagate this round
-	}
-	m.p.Add(key, m.cfg.Alpha*rv)
-	if rowWDeg <= 0 {
-		return 0 // dangling: the residual is absorbed
-	}
-	return (1 - m.cfg.Alpha) * rv
-}
-
-// visitResidual checks the activation condition after a residual update.
-func (m *SSPPR) visitResidual(k pmap.Key, newVal, wdeg float64) {
-	if newVal > m.cfg.Eps*wdeg {
-		m.activated.Insert(k)
-	}
-}
-
-// claimMasses runs the claim phase on the Striped maps: row i's residual is
-// swapped out and credited to p, and masses[i] receives its propagating mass
-// (0 when stale or dangling). Single-goroutine.
-func (m *SSPPR) claimMasses(batch NeighborBatch, locals, shards []int32) []float64 {
-	rows := batch.NumRows()
-	if cap(m.masses) < rows {
-		m.masses = make([]float64, rows)
-	}
-	masses := m.masses[:rows]
-	alpha := m.cfg.Alpha
-	for i := 0; i < rows; i++ {
-		masses[i] = 0
-		key := pmap.Key{Local: locals[i], Shard: shards[i]}
-		rv := m.r.SwapSeq(key, 0)
-		if rv <= 0 {
-			continue
-		}
-		m.p.AddSeq(key, alpha*rv)
-		if _, _, _, _, rowWDeg := batch.Row(i); rowWDeg <= 0 {
-			continue
-		}
-		m.Pushes++
-		masses[i] = (1 - alpha) * rv
-	}
-	return masses
-}
-
-func (m *SSPPR) pushSequential(batch NeighborBatch, locals, shards []int32) {
-	// Single-threaded: use the lock-free map fast paths. No other goroutine
-	// touches this query's state while the driver is in Push.
-	eps := m.cfg.Eps
-	if !m.cfg.DeterministicPop {
-		// Single-pass: each row's claim is interleaved with its neighbor
-		// applies, so residual a row receives from an earlier row of the SAME
-		// batch propagates this round instead of waiting for the next. That
-		// converges in measurably fewer pushes, but the row-visit interleaving
-		// is not reproducible across engines — deterministic runs take the
-		// claims-first path below so all engines agree bitwise (DESIGN.md §5j).
-		alpha := m.cfg.Alpha
-		for i := 0; i < batch.NumRows(); i++ {
-			nl, ns, nw, nd, rowWDeg := batch.Row(i)
-			key := pmap.Key{Local: locals[i], Shard: shards[i]}
-			rv := m.r.SwapSeq(key, 0)
-			if rv <= 0 {
-				continue
-			}
-			m.p.AddSeq(key, alpha*rv)
-			if rowWDeg <= 0 {
-				continue
-			}
-			m.Pushes++
-			inv := (1 - alpha) * rv / float64(rowWDeg)
-			for j := range nl {
-				k := pmap.Key{Local: nl[j], Shard: ns[j]}
-				nv := m.r.AddSeq(k, float64(nw[j])*inv)
-				if nv > eps*float64(nd[j]) {
-					m.activated.InsertSeq(k)
-				}
-			}
-		}
-		return
-	}
-	masses := m.claimMasses(batch, locals, shards)
-	for i := range masses {
-		if masses[i] == 0 {
-			continue
-		}
+func (m *SSPPR) pushInterleaved(batch NeighborBatch, locals, shards []int32) {
+	p, r, act := m.st.p, m.st.r, m.st.act
+	eps, alpha := m.cfg.Eps, m.cfg.Alpha
+	for i := 0; i < batch.NumRows(); i++ {
 		nl, ns, nw, nd, rowWDeg := batch.Row(i)
-		inv := masses[i] / float64(rowWDeg)
+		k := (pmap.Key{Local: locals[i], Shard: shards[i]}).Packed()
+		rv := r.SwapP(k, 0)
+		if rv <= 0 {
+			continue // nothing to propagate this round
+		}
+		p.AddP(k, alpha*rv)
+		if rowWDeg <= 0 {
+			continue // dangling: the residual is absorbed
+		}
+		m.pushes++
+		inv := (1 - alpha) * rv / float64(rowWDeg)
 		for j := range nl {
-			k := pmap.Key{Local: nl[j], Shard: ns[j]}
-			nv := m.r.AddSeq(k, float64(nw[j])*inv)
-			if nv > eps*float64(nd[j]) {
-				m.activated.InsertSeq(k)
+			kp := (pmap.Key{Local: nl[j], Shard: ns[j]}).Packed()
+			if nv := r.AddP(kp, float64(nw[j])*inv); nv > eps*float64(nd[j]) {
+				act.InsertP(kp)
 			}
 		}
 	}
 }
 
-// pushFlatSequential is pushSequential over the affinity engine's flat
-// tables: same claim-then-apply order, no pool round — small batches are not
-// worth W channel handoffs.
-func (m *SSPPR) pushFlatSequential(batch NeighborBatch, locals, shards []int32) {
+func (m *SSPPR) pushClaimsFirst(batch NeighborBatch, locals, shards []int32) {
+	st := m.st
+	p, r, act := st.p, st.r, st.act
+	eps, alpha := m.cfg.Eps, m.cfg.Alpha
 	rows := batch.NumRows()
-	eps := m.cfg.Eps
-	alpha := m.cfg.Alpha
-	if !m.cfg.DeterministicPop {
-		// Same single-pass interleaving as pushSequential: same-batch residual
-		// propagates this round. Deterministic runs need the claims-first
-		// order below to stay bitwise-identical with the pool path.
-		for i := 0; i < rows; i++ {
-			nl, ns, nw, nd, rowWDeg := batch.Row(i)
-			p := (pmap.Key{Local: locals[i], Shard: shards[i]}).Packed()
-			rv := m.fr.SwapP(p, 0)
-			if rv <= 0 {
-				continue
-			}
-			m.fp.AddP(p, alpha*rv)
-			if rowWDeg <= 0 {
-				continue
-			}
-			m.Pushes++
-			inv := (1 - alpha) * rv / float64(rowWDeg)
-			for j := range nl {
-				kp := (pmap.Key{Local: nl[j], Shard: ns[j]}).Packed()
-				nv := m.fr.AddP(kp, float64(nw[j])*inv)
-				if nv > eps*float64(nd[j]) {
-					m.fact.InsertP(kp)
-				}
-			}
-		}
-		m.flushAffinityMetrics()
-		return
+	if cap(st.masses) < rows {
+		st.masses = make([]float64, rows)
 	}
-	if cap(m.masses) < rows {
-		m.masses = make([]float64, rows)
-	}
-	masses := m.masses[:rows]
+	masses := st.masses[:rows]
 	for i := 0; i < rows; i++ {
 		masses[i] = 0
-		p := (pmap.Key{Local: locals[i], Shard: shards[i]}).Packed()
-		rv := m.fr.SwapP(p, 0)
+		k := (pmap.Key{Local: locals[i], Shard: shards[i]}).Packed()
+		rv := r.SwapP(k, 0)
 		if rv <= 0 {
 			continue
 		}
-		m.fp.AddP(p, alpha*rv)
+		p.AddP(k, alpha*rv)
 		if _, _, _, _, rowWDeg := batch.Row(i); rowWDeg <= 0 {
 			continue
 		}
-		m.Pushes++
+		m.pushes++
 		masses[i] = (1 - alpha) * rv
 	}
 	for i := range masses {
@@ -450,245 +267,39 @@ func (m *SSPPR) pushFlatSequential(batch NeighborBatch, locals, shards []int32) 
 		inv := masses[i] / float64(rowWDeg)
 		for j := range nl {
 			kp := (pmap.Key{Local: nl[j], Shard: ns[j]}).Packed()
-			nv := m.fr.AddP(kp, float64(nw[j])*inv)
-			if nv > eps*float64(nd[j]) {
-				m.fact.InsertP(kp)
+			if nv := r.AddP(kp, float64(nw[j])*inv); nv > eps*float64(nd[j]) {
+				act.InsertP(kp)
 			}
 		}
 	}
-	m.flushAffinityMetrics()
 }
 
-// pushAffinity is the shard-affinity push (DESIGN.md §5j): two pool rounds
-// over long-lived workers that each own a fixed set of stripes.
-//
-// Round 1 (claim + materialize): worker w walks the batch rows whose keys it
-// owns, in increasing global row index, swapping out their residuals and
-// bucketing every neighbor delta by the destination worker that owns the
-// neighbor's stripe — the one bucket sort of the round. Round 2 (merge +
-// apply): worker d merges its W incoming buckets by source-row index (each
-// is already row-sorted, so a run-at-a-time W-way merge restores the global
-// row order) and applies them to its own stripes. No locks anywhere, and the
-// per-key application order equals the sequential engine's, which is what
-// keeps affinity scores bitwise identical under DeterministicPop.
-func (m *SSPPR) pushAffinity(batch NeighborBatch, locals, shards []int32) {
-	w := m.affWorkers
-	rows := batch.NumRows()
-	for i := range m.rowsByOwner {
-		m.rowsByOwner[i] = m.rowsByOwner[i][:0]
-	}
-	for i := range m.buckets {
-		b := &m.buckets[i]
-		b.upds = b.upds[:0]
-		b.runs = b.runs[:0]
-	}
-	for i := 0; i < rows; i++ {
-		p := (pmap.Key{Local: locals[i], Shard: shards[i]}).Packed()
-		m.rowsByOwner[pmap.StripeOfPacked(p)%w] = append(m.rowsByOwner[pmap.StripeOfPacked(p)%w], int32(i))
-	}
-	alpha, eps := m.cfg.Alpha, m.cfg.Eps
-	m.pool.Do(func(pw int) {
-		var pushes int64
-		bkt := m.buckets[pw*w : (pw+1)*w]
-		for _, ri := range m.rowsByOwner[pw] {
-			i := int(ri)
-			p := (pmap.Key{Local: locals[i], Shard: shards[i]}).Packed()
-			rv := m.fr.SwapP(p, 0)
-			if rv <= 0 {
-				continue
-			}
-			m.fp.AddP(p, alpha*rv)
-			nl, ns, nw, nd, rowWDeg := batch.Row(i)
-			if rowWDeg <= 0 {
-				continue
-			}
-			pushes++
-			inv := (1 - alpha) * rv / float64(rowWDeg)
-			for j := range nl {
-				kp := (pmap.Key{Local: nl[j], Shard: ns[j]}).Packed()
-				b := &bkt[pmap.StripeOfPacked(kp)%w]
-				if nr := len(b.runs); nr == 0 || b.runs[nr-1].row != ri {
-					b.runs = append(b.runs, affRun{row: ri})
-				}
-				b.upds = append(b.upds, affUpd{key: kp, delta: float64(nw[j]) * inv, aux: float64(nd[j])})
-				b.runs[len(b.runs)-1].n++
-			}
-		}
-		m.workerPushes[pw] = pushes
-	})
-	var updates int64
-	for pw := 0; pw < w; pw++ {
-		m.Pushes += m.workerPushes[pw]
-	}
-	for i := range m.buckets {
-		updates += int64(len(m.buckets[i].upds))
-	}
-	m.pool.Do(func(d int) {
-		// Cursor per producer bucket: next run and that run's update offset.
-		var runCur, updCur [pmap.NumSubmaps]int32
-		for {
-			best := -1
-			bestRow := int32(0)
-			for pw := 0; pw < w; pw++ {
-				b := &m.buckets[pw*w+d]
-				if int(runCur[pw]) >= len(b.runs) {
-					continue
-				}
-				if row := b.runs[runCur[pw]].row; best < 0 || row < bestRow {
-					best, bestRow = pw, row
-				}
-			}
-			if best < 0 {
-				return
-			}
-			b := &m.buckets[best*w+d]
-			run := b.runs[runCur[best]]
-			upds := b.upds[updCur[best] : updCur[best]+run.n]
-			for _, u := range upds {
-				nv := m.fr.AddP(u.key, u.delta)
-				if nv > eps*u.aux {
-					m.fact.InsertP(u.key)
-				}
-			}
-			updCur[best] += run.n
-			runCur[best]++
-		}
-	})
-	metrics.PmapAffinityRounds.Inc(1)
-	metrics.PmapOwnedUpdates.Inc(updates)
-	m.flushAffinityMetrics()
-}
-
-// flushAffinityMetrics forwards the flat tables' grow counters to the global
-// metric, once per push round instead of once per grow.
-func (m *SSPPR) flushAffinityMetrics() {
-	grows := m.fp.Grows() + m.fr.Grows() + m.fact.Grows()
-	if d := grows - m.lastGrows; d > 0 {
+// flushGrowMetrics forwards the tables' grow counters to the global metric,
+// once per push instead of once per grow.
+func (m *SSPPR) flushGrowMetrics() {
+	st := m.st
+	grows := st.p.Grows() + st.r.Grows() + st.act.Grows()
+	if d := grows - st.lastGrows; d > 0 {
 		metrics.PmapGrows.Inc(d)
-		m.lastGrows = grows
+		st.lastGrows = grows
 	}
 }
 
-// pushLocked is the straightforward multi-threaded push: rows in parallel,
-// every residual update takes its submap lock. Kept as the locking-scheme
-// ablation; it claims per-row inside the parallel loop, so it is not
-// bitwise-comparable to the other paths (it never was deterministic).
-func (m *SSPPR) pushLocked(batch NeighborBatch, locals, shards []int32, workers int) {
-	rows := batch.NumRows()
-	var wg sync.WaitGroup
-	var pushes int64
-	var mu sync.Mutex
-	chunk := (rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= rows {
-			break
-		}
-		hi := min(lo+chunk, rows)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			local := int64(0)
-			for i := lo; i < hi; i++ {
-				nl, ns, nw, nd, rowWDeg := batch.Row(i)
-				mass := m.claimRow(pmap.Key{Local: locals[i], Shard: shards[i]}, rowWDeg)
-				if mass == 0 {
-					continue
-				}
-				local++
-				inv := mass / float64(rowWDeg)
-				for j := range nl {
-					k := pmap.Key{Local: nl[j], Shard: ns[j]}
-					nv := m.r.Add(k, float64(nw[j])*inv)
-					m.visitResidual(k, nv, float64(nd[j]))
-				}
-			}
-			mu.Lock()
-			pushes += local
-			mu.Unlock()
-		}(lo, hi)
-	}
-	wg.Wait()
-	m.Pushes += pushes
-}
-
-// pushOwned is the lock-eliminated push of §3.3: phase 1 claims row
-// residuals and materializes all neighbor deltas; phase 2 applies them with
-// ApplyOwned, which partitions updates by submap index across workers so no
-// locks are taken while mutating the residual map. Claims happen before any
-// apply and the concatenation below preserves global row order, so scores
-// match the sequential path bitwise.
-func (m *SSPPR) pushOwned(batch NeighborBatch, locals, shards []int32, workers int) {
-	rows := batch.NumRows()
-	perWorker := make([][]pmap.Update, workers)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var pushes int64
-	chunk := (rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= rows {
-			break
-		}
-		hi := min(lo+chunk, rows)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var ups []pmap.Update
-			local := int64(0)
-			for i := lo; i < hi; i++ {
-				nl, ns, nw, nd, rowWDeg := batch.Row(i)
-				mass := m.claimRow(pmap.Key{Local: locals[i], Shard: shards[i]}, rowWDeg)
-				if mass == 0 {
-					continue
-				}
-				local++
-				inv := mass / float64(rowWDeg)
-				for j := range nl {
-					ups = append(ups, pmap.Update{
-						Key:   pmap.Key{Local: nl[j], Shard: ns[j]},
-						Delta: float64(nw[j]) * inv,
-						Aux:   float64(nd[j]),
-					})
-				}
-			}
-			perWorker[w] = ups
-			mu.Lock()
-			pushes += local
-			mu.Unlock()
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	m.Pushes += pushes
-	total := 0
-	for _, u := range perWorker {
-		total += len(u)
-	}
-	updates := make([]pmap.Update, 0, total)
-	for _, u := range perWorker {
-		updates = append(updates, u...)
-	}
-	metrics.PmapOwnedUpdates.Inc(int64(total))
-	m.r.ApplyOwned(updates, workers, m.visitResidual)
-}
+// Work returns the Pop rounds and push operations performed so far.
+func (m *SSPPR) Work() (iterations int, pushes int64) { return m.iterations, m.pushes }
 
 // ScoreCount returns the number of nodes holding PPR mass.
-func (m *SSPPR) ScoreCount() int {
-	if m.cfg.Affinity {
-		return m.fp.Len()
-	}
-	return m.p.Len()
+func (m *SSPPR) ScoreCount() int { return m.st.p.Len() }
+
+// Score returns one node's PPR estimate (0 when it holds no mass).
+func (m *SSPPR) Score(k pmap.Key) float64 {
+	v, _ := m.st.p.Get(k)
+	return v
 }
 
 // RangeScores iterates the PPR estimates. Call only after the driver loop
-// finished (both engines require quiescence for iteration).
-func (m *SSPPR) RangeScores(f func(pmap.Key, float64) bool) {
-	if m.cfg.Affinity {
-		m.fp.Range(f)
-		return
-	}
-	m.p.Range(f)
-}
+// finished (iteration requires quiescence).
+func (m *SSPPR) RangeScores(f func(pmap.Key, float64) bool) { m.st.p.Range(f) }
 
 // Scores returns the computed PPR estimates. Call after the driver loop has
 // drained the activated set.
@@ -703,26 +314,15 @@ func (m *SSPPR) Scores() map[pmap.Key]float64 {
 
 // RangeResiduals iterates the residual map. Like RangeScores, call only
 // after the driver loop finished.
-func (m *SSPPR) RangeResiduals(f func(pmap.Key, float64) bool) {
-	if m.cfg.Affinity {
-		m.fr.Range(f)
-		return
-	}
-	m.r.Range(f)
-}
+func (m *SSPPR) RangeResiduals(f func(pmap.Key, float64) bool) { m.st.r.Range(f) }
 
 // ResidualMass returns the total remaining residual (diagnostics: the
 // engine's approximation error mass).
 func (m *SSPPR) ResidualMass() float64 {
 	s := 0.0
-	visit := func(_ pmap.Key, v float64) bool {
+	m.st.r.Range(func(_ pmap.Key, v float64) bool {
 		s += v
 		return true
-	}
-	if m.cfg.Affinity {
-		m.fr.Range(visit)
-	} else {
-		m.r.Range(visit)
-	}
+	})
 	return s
 }

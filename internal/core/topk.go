@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 
 	"pprengine/internal/metrics"
@@ -17,30 +16,65 @@ type ScoredNode struct {
 	Score float64
 }
 
-type scoredHeap []ScoredNode
-
-func (h scoredHeap) Len() int { return len(h) }
-func (h scoredHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score // min-heap on score
+// worse reports whether a ranks below b: by lower score, ties by higher
+// (shard, local). Keys are unique within a result, so the order is total and
+// a top-K is the same whatever order the scores were offered in.
+func worse(a, b ScoredNode) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
 	}
-	if h[i].Key.Shard != h[j].Key.Shard {
-		return h[i].Key.Shard > h[j].Key.Shard
+	if a.Key.Shard != b.Key.Shard {
+		return a.Key.Shard > b.Key.Shard
 	}
-	return h[i].Key.Local > h[j].Key.Local
+	return a.Key.Local > b.Key.Local
 }
-func (h scoredHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *scoredHeap) Push(x any)   { *h = append(*h, x.(ScoredNode)) }
-func (h *scoredHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h scoredHeap) worse(s ScoredNode) bool {
-	t := h[0]
-	if s.Score != t.Score {
-		return s.Score < t.Score
+
+// topHeap is a bounded min-heap under worse: the root is the worst node kept.
+type topHeap []ScoredNode
+
+func (h topHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && worse(h[c+1], h[c]) {
+			c++
+		}
+		if !worse(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	if s.Key.Shard != t.Key.Shard {
-		return s.Key.Shard > t.Key.Shard
+}
+
+// offer keeps s if it is among the k best seen so far.
+func (h *topHeap) offer(s ScoredNode, k int) {
+	if len(*h) < k {
+		*h = append(*h, s)
+		hh := *h
+		for i := len(hh) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !worse(hh[i], hh[parent]) {
+				break
+			}
+			hh[i], hh[parent] = hh[parent], hh[i]
+			i = parent
+		}
+	} else if !worse(s, (*h)[0]) {
+		(*h)[0] = s
+		h.down(0)
 	}
-	return s.Key.Local > t.Key.Local
+}
+
+// sorted heap-sorts in place and returns the nodes best first.
+func (h topHeap) sorted() []ScoredNode {
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		h[:n].down(0)
+	}
+	return h
 }
 
 // TopK selects the k highest-scored nodes of a finished query via a bounded
@@ -49,24 +83,26 @@ func (m *SSPPR) TopK(k int) []ScoredNode {
 	if k <= 0 {
 		return nil
 	}
-	h := make(scoredHeap, 0, k+1)
+	h := make(topHeap, 0, min(k, m.ScoreCount()))
 	m.RangeScores(func(key pmap.Key, v float64) bool {
-		s := ScoredNode{key, v}
-		if len(h) < k {
-			heap.Push(&h, s)
-		} else if h.worse(s) {
-			// s is not better than the current minimum; skip.
-		} else {
-			h[0] = s
-			heap.Fix(&h, 0)
-		}
+		h.offer(ScoredNode{key, v}, k)
 		return true
 	})
-	out := make([]ScoredNode, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(ScoredNode)
+	return h.sorted()
+}
+
+// topKOfMap is SSPPR.TopK over a cached reserve map: same heap, same
+// tie-breaks, so a cache hit's ranking is byte-identical to the run that
+// produced it.
+func topKOfMap(p map[pmap.Key]float64, k int) []ScoredNode {
+	if k <= 0 {
+		return nil
 	}
-	return out
+	h := make(topHeap, 0, min(k, len(p)))
+	for key, v := range p {
+		h.offer(ScoredNode{key, v}, k)
+	}
+	return h.sorted()
 }
 
 // RunSSPPRTopK runs a full SSPPR query under ctx and returns the k
@@ -76,5 +112,7 @@ func RunSSPPRTopK(ctx context.Context, g *DistGraphStorage, sourceLocal int32, k
 	if err != nil {
 		return nil, stats, err
 	}
-	return m.TopK(k), stats, nil
+	top := m.TopK(k)
+	m.Release()
+	return top, stats, nil
 }

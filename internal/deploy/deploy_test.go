@@ -289,7 +289,6 @@ func TestConnectHAFailover(t *testing.T) {
 	// serving endpoint; replicas serve identical bytes, so scores must match.
 	cfg := core.DefaultConfig()
 	cfg.DeterministicPop = true
-	cfg.PushWorkers = 1
 	st, router, cleanup, err := ConnectHA(context.Background(), filepath.Join(dir, "shard-0.bin"), locPath, peers, cfg,
 		ha.Options{ProbeInterval: 20 * time.Millisecond, ProbeTimeout: time.Second, BreakerThreshold: 2, AttemptTimeout: 2 * time.Second},
 		rpc.LatencyModel{})

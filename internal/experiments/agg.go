@@ -105,12 +105,11 @@ func AggBench(p Params, window time.Duration, maxRows int) (Report, []AggRow, er
 			row.Pass, row.RequestsSent, row.BytesSent, row.RPCRequests, row.RequestBytes,
 			row.Flushes, row.SharedFetches, row.Throughput))
 
-		// Identity check under a deterministic engine config: Pop order and
-		// single-threaded push are the only float-order noise sources, so with
-		// them pinned any score difference is the aggregator's fault.
+		// Identity check under a deterministic engine config: Pop order is the
+		// only float-order noise source, so with it pinned any score difference
+		// is the aggregator's fault.
 		detCfg := cfg
 		detCfg.DeterministicPop = true
-		detCfg.PushWorkers = 1
 		scores, err := concurrentScores(c, qs, detCfg)
 		if err != nil {
 			c.Close()
@@ -136,6 +135,18 @@ func AggBench(p Params, window time.Duration, maxRows int) (Report, []AggRow, er
 // round-robin over its procs, like RunSSPPRBatch) and returns each query's
 // full global score map, in qs order flattened machine-major.
 func concurrentScores(c *cluster.Cluster, qs [][]int32, cfg core.Config) ([]map[int32]float64, error) {
+	return concurrentScoresOf(c, qs, func(st *core.DistGraphStorage, src int32) (map[int32]float64, error) {
+		sp, _, err := core.RunSSPPR(context.Background(), st, src, cfg, nil)
+		if err != nil {
+			return nil, err
+		}
+		defer sp.Release()
+		return core.ScoresGlobal(st, sp), nil
+	})
+}
+
+// concurrentScoresOf is concurrentScores with the engine left to run.
+func concurrentScoresOf(c *cluster.Cluster, qs [][]int32, run func(st *core.DistGraphStorage, src int32) (map[int32]float64, error)) ([]map[int32]float64, error) {
 	procs := c.Opts.ProcsPerMachine
 	out := make([]map[int32]float64, countQueries(qs))
 	errs := make([]error, len(out))
@@ -148,12 +159,7 @@ func concurrentScores(c *cluster.Cluster, qs [][]int32, cfg core.Config) ([]map[
 				defer wg.Done()
 				st := c.Storages[m][p]
 				for i := p; i < len(qs[m]); i += procs {
-					sp, _, err := core.RunSSPPR(context.Background(), st, qs[m][i], cfg, nil)
-					if err != nil {
-						errs[base+i] = err
-						continue
-					}
-					out[base+i] = core.ScoresGlobal(st, sp)
+					out[base+i], errs[base+i] = run(st, qs[m][i])
 				}
 			}(m, p, base)
 		}

@@ -67,7 +67,6 @@ func FailoverBench(p Params, replicas int, probeInterval time.Duration, breakerT
 	cfg.Eps = 1e-5 // fetch-bound regime: remote traffic is what fails over
 	detCfg := cfg
 	detCfg.DeterministicPop = true
-	detCfg.PushWorkers = 1
 
 	r := Report{Title: fmt.Sprintf("Shard replication failover on twitter-sim (%d machines x %d procs, R=%d, kill machine %d mid-stream)", machines, procs, replicas, victim)}
 	r.Lines = append(r.Lines, fmt.Sprintf("%-10s %8s %7s %10s %7s %9s %11s %7s",

@@ -116,11 +116,10 @@ func HotpathBench(p Params) (Report, []HotpathRow, error) {
 			row.Pass, row.RemoteRows, row.AllocBytes, row.AllocObjects, row.BytesPerRow,
 			row.PoolHits, row.PoolMisses, row.Throughput))
 
-		// Bitwise score identity: with Pop order and push parallelism pinned,
-		// the only difference between passes is where the decoded bytes live.
+		// Bitwise score identity: with Pop order pinned, the only difference
+		// between passes is where the decoded bytes live.
 		detCfg := cfg
 		detCfg.DeterministicPop = true
-		detCfg.PushWorkers = 1
 		scores, err := concurrentScores(c, qs, detCfg)
 		if err != nil {
 			c.Close()

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 
+	"pprengine/internal/baseline"
 	"pprengine/internal/cluster"
 	"pprengine/internal/core"
 	"pprengine/internal/metrics"
@@ -24,8 +25,6 @@ type Hotpath2Row struct {
 	Pushes       int64
 	PopPushSec   float64 // wall seconds spent in the Pop+Push phases
 	PushesPerSec float64 // Pushes / PopPushSec
-	AffRounds    int64   // affinity push rounds (on-pass only)
-	OwnedUpdates int64   // lock-free neighbor updates applied
 
 	// Section B: allocation cost of k-hop fanout sampling.
 	SampledRows  int64   // frontier rows sampling was requested for
@@ -35,14 +34,14 @@ type Hotpath2Row struct {
 }
 
 // Hotpath2Bench measures the second round of hot-path work. Section A runs
-// the same concurrent SSPPR batch with the shard-affinity engine off
-// (PR 7-era striped maps + fork-join pushOwned) and on (flat probe tables +
-// long-lived worker pool), and reports pop/push-phase throughput — pushes
-// per second spent inside the Pop and Push phases, so fetch time does not
-// dilute the comparison. Correctness is the strictest kind: under
-// DeterministicPop every push path claims row residuals before applying any
-// neighbor delta in global row order, so affinity scores must be BITWISE
-// identical to the single-worker baseline.
+// the same concurrent SSPPR batch on the baseline engine (internal/baseline:
+// striped Go maps + fork-join pushOwned) and on the served engine (recycled
+// flat probe tables, pushes on the query's goroutine), and reports
+// pop/push-phase throughput — pushes per second spent inside the Pop and Push
+// phases, so fetch time does not dilute the comparison. Correctness is the
+// strictest kind: under DeterministicPop every push claims row residuals
+// before applying any neighbor delta in global row order, so the served
+// engine's scores must be BITWISE identical to the single-worker baseline's.
 //
 // Section B runs an identical k-hop fanout-sampling batch with the sampling
 // zero-copy path off (heap-built responses, heap encode, copy decode, the
@@ -53,7 +52,7 @@ type Hotpath2Row struct {
 func Hotpath2Bench(p Params) (Report, []Hotpath2Row, error) {
 	const machines = 4
 	const procs = 8
-	r := Report{Title: fmt.Sprintf("Hot path round two: affinity compute + sampling views on twitter-sim (%d machines x %d procs)", machines, procs)}
+	r := Report{Title: fmt.Sprintf("Hot path round two: flat-table compute + sampling views on twitter-sim (%d machines x %d procs)", machines, procs)}
 
 	spec, err := p.Spec("twitter-sim")
 	if err != nil {
@@ -72,13 +71,16 @@ func Hotpath2Bench(p Params) (Report, []Hotpath2Row, error) {
 
 	var rows []Hotpath2Row
 
-	// --- Section A: shard-affinity SSPPR compute ---
-	r.Lines = append(r.Lines, fmt.Sprintf("%-14s %12s %12s %14s %10s %12s",
-		"SSPPR pass", "Pushes", "PopPush(s)", "Pushes/s", "AffRounds", "OwnedUpds"))
+	// --- Section A: SSPPR compute engines ---
+	r.Lines = append(r.Lines, fmt.Sprintf("%-14s %12s %12s %14s",
+		"SSPPR pass", "Pushes", "PopPush(s)", "Pushes/s"))
 	cfg := core.DefaultConfig()
 	var refScores []map[int32]float64
-	for _, pass := range []string{"affinity-off", "affinity-on"} {
-		cfg.Affinity = pass == "affinity-on"
+	for _, kind := range []cluster.EngineKind{cluster.EngineStriped, cluster.EngineMap} {
+		pass := "striped-maps"
+		if kind == cluster.EngineMap {
+			pass = "flat-tables"
+		}
 		opts := cluster.Options{NumMachines: machines, ProcsPerMachine: procs, Latency: rpc.LatencyModel{}}
 		c, err := cluster.NewFromShards(shards, loc, opts, quality)
 		if err != nil {
@@ -88,41 +90,46 @@ func Hotpath2Bench(p Params) (Report, []Hotpath2Row, error) {
 
 		// Warm pools, connections, and the per-query table capacities, then
 		// measure a clean window.
-		if _, err := c.RunSSPPRBatch(context.Background(), qs, cfg, cluster.EngineMap); err != nil {
+		if _, err := c.RunSSPPRBatch(context.Background(), qs, cfg, kind); err != nil {
 			c.Close()
 			return r, nil, err
 		}
 		runtime.GC()
-		aff0, owned0 := metrics.PmapAffinityRounds.Load(), metrics.PmapOwnedUpdates.Load()
-		res, err := c.RunSSPPRBatch(context.Background(), qs, cfg, cluster.EngineMap)
+		res, err := c.RunSSPPRBatch(context.Background(), qs, cfg, kind)
 		if err != nil {
 			c.Close()
 			return r, nil, err
 		}
 		row := Hotpath2Row{
-			Section:      "ssppr",
-			Pass:         pass,
-			Pushes:       res.Pushes,
-			PopPushSec:   (res.Breakdown.Get(metrics.PhasePop) + res.Breakdown.Get(metrics.PhasePush)).Seconds(),
-			AffRounds:    metrics.PmapAffinityRounds.Load() - aff0,
-			OwnedUpdates: metrics.PmapOwnedUpdates.Load() - owned0,
+			Section:    "ssppr",
+			Pass:       pass,
+			Pushes:     res.Pushes,
+			PopPushSec: (res.Breakdown.Get(metrics.PhasePop) + res.Breakdown.Get(metrics.PhasePush)).Seconds(),
 		}
 		if row.PopPushSec > 0 {
 			row.PushesPerSec = float64(row.Pushes) / row.PopPushSec
 		}
 		rows = append(rows, row)
-		r.Lines = append(r.Lines, fmt.Sprintf("%-14s %12d %12.4f %14.0f %10d %12d",
-			row.Pass, row.Pushes, row.PopPushSec, row.PushesPerSec, row.AffRounds, row.OwnedUpdates))
+		r.Lines = append(r.Lines, fmt.Sprintf("%-14s %12d %12.4f %14.0f",
+			row.Pass, row.Pushes, row.PopPushSec, row.PushesPerSec))
 
-		// Bitwise score identity: the off pass pins PushWorkers=1, the on
-		// pass keeps its full worker pool — claims-first push order makes
-		// them indistinguishable under DeterministicPop.
+		// Bitwise score identity against the single-worker baseline:
+		// claims-first push order makes the engines indistinguishable under
+		// DeterministicPop.
 		detCfg := cfg
 		detCfg.DeterministicPop = true
-		if !cfg.Affinity {
-			detCfg.PushWorkers = 1
+		var scores []map[int32]float64
+		if kind == cluster.EngineStriped {
+			scores, err = concurrentScoresOf(c, qs, func(st *core.DistGraphStorage, src int32) (map[int32]float64, error) {
+				sp, _, err := baseline.RunSSPPR(context.Background(), st, src, detCfg, baseline.Options{Workers: 1}, nil)
+				if err != nil {
+					return nil, err
+				}
+				return core.ScoresGlobal(st, sp), nil
+			})
+		} else {
+			scores, err = concurrentScores(c, qs, detCfg)
 		}
-		scores, err := concurrentScores(c, qs, detCfg)
 		if err != nil {
 			c.Close()
 			return r, nil, err
@@ -137,9 +144,9 @@ func Hotpath2Bench(p Params) (Report, []Hotpath2Row, error) {
 	}
 	if len(rows) == 2 && rows[0].PushesPerSec > 0 {
 		r.Lines = append(r.Lines, fmt.Sprintf(
-			"pop/push throughput: %.0f -> %.0f pushes/s (%.2fx), scores bitwise identical across %d workers vs 1",
+			"pop/push throughput: %.0f -> %.0f pushes/s (%.2fx), scores bitwise identical across engines",
 			rows[0].PushesPerSec, rows[1].PushesPerSec,
-			rows[1].PushesPerSec/rows[0].PushesPerSec, cfg.PushWorkers))
+			rows[1].PushesPerSec/rows[0].PushesPerSec))
 	}
 
 	// --- Section B: k-hop sampling allocations ---

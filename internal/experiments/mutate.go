@@ -77,7 +77,6 @@ func MutateBench(p Params) (Report, []MutateRow, error) {
 	// the deterministic engine (same float order on both sides).
 	cfg := core.DefaultConfig()
 	cfg.DeterministicPop = true
-	cfg.PushWorkers = 1
 
 	qs := c.EvenQuerySet(queriesPerMachine, 71)
 	nq := countQueries(qs)

@@ -295,7 +295,6 @@ func OverloadBench(p Params, maxInFlight, maxQueue int, hedgeDelay time.Duration
 	hedgeQs := [][]int32(nil)
 	detCfg := cfg
 	detCfg.DeterministicPop = true
-	detCfg.PushWorkers = 1
 	var slowScores []map[int32]float64
 	var slowMean time.Duration
 	for _, pass := range []string{"slow", "slow+hedge"} {

@@ -76,7 +76,6 @@ func ServeBench(p Params) (Report, []ServeRow, error) {
 	cfg := core.DefaultConfig()
 	cfg.Eps = 1e-5
 	cfg.DeterministicPop = true
-	cfg.PushWorkers = 1
 
 	var rows []ServeRow
 	var sources [][]int32

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pprengine/internal/core"
 	"pprengine/internal/graph"
@@ -18,43 +18,37 @@ var ErrFeatureDimMismatch = errors.New("gnn: inconsistent feature dims across sh
 
 // ConvertBatch is the paper's convert_batch (§4.5): given an SSPPR result
 // for an ego vertex, it takes the top-K scored vertices (always including
-// the ego), induces their subgraph by fetching neighbor lists through the
-// distributed storage, and slices their features from the cross-machine
-// feature store. Each row's PPR mass rides along with the feature fetch as
+// the ego; ties by key, for determinism), induces their subgraph by fetching
+// neighbor lists through the distributed storage, and slices their features
+// from the cross-machine feature store. Each row's PPR mass rides along with the feature fetch as
 // the cache-admission signal. The result is a model-ready Batch. ctx bounds
 // all the fetches.
 func ConvertBatch(ctx context.Context, g *core.DistGraphStorage, m *core.SSPPR, egoLocal int32, topK, numClasses int) (*Batch, error) {
-	scores := m.Scores()
 	ego := pmap.Key{Local: egoLocal, Shard: g.ShardID}
 	// Rank by score, keep topK, force the ego in.
-	keys := topKeys(scores, topK)
-	hasEgo := false
-	for _, k := range keys {
-		if k == ego {
-			hasEgo = true
-			break
-		}
-	}
-	if !hasEgo {
-		if len(keys) == topK && topK > 0 {
-			keys[len(keys)-1] = ego
+	top := m.TopK(topK)
+	if !slices.ContainsFunc(top, func(n core.ScoredNode) bool { return n.Key == ego }) {
+		en := core.ScoredNode{Key: ego, Score: m.Score(ego)}
+		if len(top) == topK && topK > 0 {
+			top[len(top)-1] = en
 		} else {
-			keys = append(keys, ego)
+			top = append(top, en)
 		}
 	}
-	index := make(map[pmap.Key]int32, len(keys))
-	for i, k := range keys {
-		index[k] = int32(i)
+	index := make(map[pmap.Key]int32, len(top))
+	for i, n := range top {
+		index[n.Key] = int32(i)
 	}
 	// Group by shard for neighbor-info and feature fetches; each row's PPR
 	// mass travels with the feature request as the admission signal.
 	byShard := make([][]int32, g.NumShards)
 	rowOf := make([][]int32, g.NumShards) // batch index per fetched row
 	massBy := make([][]float64, g.NumShards)
-	for i, k := range keys {
+	for i, n := range top {
+		k := n.Key
 		byShard[k.Shard] = append(byShard[k.Shard], k.Local)
 		rowOf[k.Shard] = append(rowOf[k.Shard], int32(i))
-		massBy[k.Shard] = append(massBy[k.Shard], scores[k])
+		massBy[k.Shard] = append(massBy[k.Shard], n.Score)
 	}
 	// Issue everything asynchronously (remote shards overlap).
 	infoFuts := make([]*core.InfoFuture, g.NumShards)
@@ -77,12 +71,12 @@ func ConvertBatch(ctx context.Context, g *core.DistGraphStorage, m *core.SSPPR, 
 		infoFuts[sh] = g.GetNeighborInfos(ctx, sh, byShard[sh], core.Config{Mode: core.FetchBatchCompress})
 		featFuts[sh] = g.FetchFeaturesMass(ctx, sh, byShard[sh], massBy[sh])
 	}
-	b := &Batch{N: len(keys)}
+	b := &Batch{N: len(top)}
 	var dim int
 	// Assemble features. featRows may alias pooled response payloads until
 	// the copy into b.X below, which is why the futures stay unreleased
 	// until the deferred sweep.
-	featRows := make([][]float32, len(keys))
+	featRows := make([][]float32, len(top))
 	for sh := int32(0); sh < g.NumShards; sh++ {
 		if featFuts[sh] == nil {
 			continue
@@ -103,7 +97,7 @@ func ConvertBatch(ctx context.Context, g *core.DistGraphStorage, m *core.SSPPR, 
 			featRows[row] = feats[i*d : (i+1)*d]
 		}
 	}
-	b.X = make([]float32, len(keys)*dim)
+	b.X = make([]float32, len(top)*dim)
 	for i, row := range featRows {
 		copy(b.X[i*dim:(i+1)*dim], row)
 	}
@@ -131,41 +125,11 @@ func ConvertBatch(ctx context.Context, g *core.DistGraphStorage, m *core.SSPPR, 
 	b.EgoIdx = int(index[ego])
 	egoGlobal := g.Locator.Global(ego.Shard, ego.Local)
 	b.EgoLabel = LabelOf(egoGlobal, numClasses)
-	b.PPRWeights = make([]float32, len(keys))
-	for i, k := range keys {
-		b.PPRWeights[i] = float32(scores[k])
+	b.PPRWeights = make([]float32, len(top))
+	for i, n := range top {
+		b.PPRWeights[i] = float32(n.Score)
 	}
 	return b, nil
-}
-
-// topKeys returns up to k keys with the highest scores (descending; ties by
-// key for determinism).
-func topKeys(scores map[pmap.Key]float64, k int) []pmap.Key {
-	type kv struct {
-		k pmap.Key
-		v float64
-	}
-	items := make([]kv, 0, len(scores))
-	for key, v := range scores {
-		items = append(items, kv{key, v})
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].v != items[j].v {
-			return items[i].v > items[j].v
-		}
-		if items[i].k.Shard != items[j].k.Shard {
-			return items[i].k.Shard < items[j].k.Shard
-		}
-		return items[i].k.Local < items[j].k.Local
-	})
-	if k > len(items) {
-		k = len(items)
-	}
-	out := make([]pmap.Key, k)
-	for i := 0; i < k; i++ {
-		out[i] = items[i].k
-	}
-	return out
 }
 
 // LabelOfGlobal is a convenience wrapper for tests.

@@ -97,6 +97,7 @@ func (s *InferService) infer(ctx context.Context, sourceLocal int32, tenant stri
 		return nil, fmt.Errorf("gnn: infer source %d: ssppr: %w", sourceLocal, err)
 	}
 	b, err := ConvertBatch(ctx, s.G, m, sourceLocal, s.TopK, s.NumClasses)
+	m.Release() // the batch holds copies of the scores it kept
 	if err != nil {
 		return nil, fmt.Errorf("gnn: infer source %d: %w", sourceLocal, err)
 	}

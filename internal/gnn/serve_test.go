@@ -29,7 +29,6 @@ func detPPR() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Eps = 1e-4
 	cfg.DeterministicPop = true
-	cfg.PushWorkers = 1
 	return cfg
 }
 

@@ -153,6 +153,7 @@ func TrainDistributed(ctx context.Context, c *cluster.Cluster, cfg TrainConfig) 
 					if err == nil {
 						var b *Batch
 						b, err = ConvertBatch(ctx, st, q, ego, cfg.TopK, cfg.NumClasses)
+						q.Release()
 						if err == nil {
 							loss, grads := model.Loss(b)
 							flat := FlattenGrads(grads)
@@ -218,6 +219,7 @@ func Evaluate(ctx context.Context, c *cluster.Cluster, cfg TrainConfig, model Mo
 			return 0, err
 		}
 		b, err := ConvertBatch(ctx, st, q, ego, cfg.TopK, cfg.NumClasses)
+		q.Release()
 		if err != nil {
 			return 0, err
 		}

@@ -243,17 +243,11 @@ var (
 	// reused across epochs, so this grows only when an arena outgrows its
 	// slab — a hot steady state stops moving it entirely.
 	ArenaSlabBytes Counter
-	// PmapGrows counts flat probe-table stripe rehashes in the affinity
-	// engine (internal/pmap Flat/FlatSet). Bumped once per grow, never per
-	// map op; a steady state with fitting capacity hints stops moving it.
+	// PmapGrows counts flat probe-table stripe rehashes in the engine
+	// (internal/pmap Flat/FlatSet). Bumped once per grow, never per map op;
+	// recycled tables keep their capacity, so a warm steady state stops
+	// moving it.
 	PmapGrows Counter
-	// PmapOwnedUpdates counts neighbor updates applied through an
-	// owner-compute push (the affinity merge phase and pushOwned's
-	// ApplyOwned), i.e. residual-map mutations that ran without any lock.
-	PmapOwnedUpdates Counter
-	// PmapAffinityRounds counts push rounds executed by the shard-affinity
-	// worker pools (Config.Affinity).
-	PmapAffinityRounds Counter
 	// FeatCacheHits / FeatCacheMisses / FeatCacheCoalesced count feature
 	// rows served from the machine-wide feature cache, rows that started a
 	// fetch (single-flight leaders), and rows that piggybacked on another

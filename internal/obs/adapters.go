@@ -55,9 +55,7 @@ func RegisterEngineMetrics(r *Registry) {
 		func() float64 { return float64(metrics.PoolLiveBytes.Load()) })
 	r.CounterFunc("ppr_mem_arena_slab_bytes_total", "Bytes committed to decode-arena slabs.", nil, counterOf(&metrics.ArenaSlabBytes))
 
-	r.CounterFunc("ppr_pmap_grows_total", "Flat probe-table stripe rehashes in the affinity engine.", nil, counterOf(&metrics.PmapGrows))
-	r.CounterFunc("ppr_pmap_owned_updates_total", "Neighbor updates applied lock-free through owner-compute pushes.", nil, counterOf(&metrics.PmapOwnedUpdates))
-	r.CounterFunc("ppr_pmap_affinity_rounds_total", "Push rounds executed by the shard-affinity worker pools.", nil, counterOf(&metrics.PmapAffinityRounds))
+	r.CounterFunc("ppr_pmap_grows_total", "Flat probe-table stripe rehashes in the SSPPR engine.", nil, counterOf(&metrics.PmapGrows))
 
 	r.CounterFunc("ppr_wire_requests_total", "Client-side RPC requests sent.", nil, counterOf(&metrics.WireRequests))
 	r.CounterFunc("ppr_wire_bytes_sent_total", "Client-side request payload bytes sent.", nil, counterOf(&metrics.WireBytesSent))

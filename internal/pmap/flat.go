@@ -1,16 +1,21 @@
-// Flat and FlatSet are the open-addressed, single-owner probe tables behind
-// the shard-affinity compute pools (DESIGN.md §5j). Where Striped pays Go-map
-// overhead (hashing twice, bucket chains, interface-free but pointer-heavy
-// internals) plus a mutex per submap, Flat keys each stripe as a bare
-// open-addressed array pair: packed keys (biased by one so zero means empty)
-// and float64 values, probed linearly from the upper bits of the same hash
-// that picked the stripe. There are no locks anywhere: correctness comes from
-// the ownership discipline — at any moment a stripe is touched by exactly one
-// goroutine, either the single sequential pusher or the pool worker that owns
-// it (stripe s belongs to worker s % W).
+// Flat and FlatSet are the open-addressed, single-owner probe tables of the
+// SSPPR engine (DESIGN.md §5j). Where Striped pays Go-map overhead (hashing
+// twice, bucket chains, pointer-heavy internals) plus a mutex per submap, a
+// Flat stripe is one bare open-addressed array of 16-byte {key, value} slots
+// — packed keys biased by one so zero means empty — probed linearly from the
+// upper bits of the same hash that picked the stripe, so a residual update
+// touches one cache line. There are no locks and no atomics: a table belongs
+// to one query, and one goroutine at a time runs that query's pop and push.
+// The stripes remain so that growth rehashes 1/64 of a table at a time.
+//
+// Both tables keep a dense per-stripe list of the slots they filled, in
+// insertion order. Iteration follows the list, so its order depends only on
+// the order keys were inserted, never on table capacity; and clearing costs
+// time proportional to the entries a query touched, which is what lets one
+// table serve query after query (core's recycled engine state).
 package pmap
 
-import "sync/atomic"
+import "math"
 
 // submapBits is log2(NumSubmaps): stripe selection uses the hash's low
 // submapBits bits, slot probing starts from the bits above them, so the two
@@ -31,21 +36,25 @@ func stripeCapFor(capacityHint int) int {
 	return n
 }
 
+// resetSparse reports whether clearing a table of capacity slots by walking
+// its used list touches less memory than one memclr of the whole table.
+func resetSparse(used, capacity int) bool { return used*4 < capacity }
+
+type flatSlot struct {
+	key uint64 // packed key + keyBias; 0 = empty
+	val float64
+}
+
 type flatStripe struct {
-	keys []uint64 // packed key + keyBias; 0 = empty
-	vals []float64
-	n    int
-	_    [24]byte // pad to reduce false sharing between adjacent owners
+	slots []flatSlot
+	used  []int32 // insertion-ordered indices of the occupied slots
 }
 
 // Flat is a striped open-addressed map from Key to float64 with no internal
-// synchronization. It is safe for concurrent use only under the owner-compute
-// discipline: every call that touches stripe StripeOfPacked(k) must come from
-// that stripe's owning goroutine (or from a single goroutine owning the whole
-// map, the sequential fast path).
+// synchronization: single-goroutine use only.
 type Flat struct {
 	stripes [NumSubmaps]flatStripe
-	grows   atomic.Int64
+	grows   int64
 }
 
 // NewFlat returns an empty Flat map sized for capacityHint total entries.
@@ -53,184 +62,183 @@ func NewFlat(capacityHint int) *Flat {
 	f := &Flat{}
 	per := stripeCapFor(capacityHint)
 	for i := range f.stripes {
-		f.stripes[i].keys = make([]uint64, per)
-		f.stripes[i].vals = make([]float64, per)
+		f.stripes[i].slots = make([]flatSlot, per)
 	}
 	return f
 }
 
 // Packed returns the Key's packed 64-bit form, the representation the flat
-// tables and the affinity push buckets carry on the hot path.
+// tables take on the hot path.
 func (k Key) Packed() uint64 { return k.pack() }
 
-// UnpackKey is the inverse of Key.Packed.
-func UnpackKey(p uint64) Key { return unpack(p) }
-
-// StripeOfPacked returns the stripe (= submap index) owning a packed key.
-// It is the same derivation as SubmapIndex, so affinity workers can own
-// Striped submaps and Flat stripes under one rule.
-func StripeOfPacked(p uint64) int {
-	return int(hash64(p) & (NumSubmaps - 1))
+// slot returns packed key p's slot, claiming an empty one (value 0) when the
+// key is absent.
+func (f *Flat) slot(p uint64) *flatSlot {
+	h := hash64(p)
+	st := &f.stripes[h&(NumSubmaps-1)]
+	if len(st.used)*4 >= len(st.slots)*3 {
+		f.growStripe(st)
+	}
+	b := p + keyBias
+	slots := st.slots
+	mask := uint64(len(slots) - 1)
+	i := (h >> submapBits) & mask
+	for {
+		s := &slots[i]
+		if s.key == b {
+			return s
+		}
+		if s.key == emptySlot {
+			s.key = b
+			st.used = append(st.used, int32(i))
+			return s
+		}
+		i = (i + 1) & mask
+	}
 }
 
 // AddP adds delta to packed key p's value (missing keys start at 0) and
-// returns the new value. Owner-only: the caller must own p's stripe.
+// returns the new value.
 func (f *Flat) AddP(p uint64, delta float64) float64 {
-	h := hash64(p)
-	st := &f.stripes[h&(NumSubmaps-1)]
-	if st.n*4 >= len(st.keys)*3 {
-		f.growStripe(st)
-	}
-	b := p + keyBias
-	keys, vals := st.keys, st.vals
-	mask := uint64(len(keys) - 1)
-	i := (h >> submapBits) & mask
-	for {
-		k := keys[i]
-		if k == b {
-			nv := vals[i] + delta
-			vals[i] = nv
-			return nv
-		}
-		if k == emptySlot {
-			keys[i] = b
-			vals[i] = delta
-			st.n++
-			return delta
-		}
-		i = (i + 1) & mask
-	}
+	s := f.slot(p)
+	s.val += delta
+	return s.val
 }
 
 // SwapP stores v for packed key p and returns the previous value (0 if
-// absent). Owner-only.
+// absent).
 func (f *Flat) SwapP(p uint64, v float64) float64 {
-	h := hash64(p)
-	st := &f.stripes[h&(NumSubmaps-1)]
-	if st.n*4 >= len(st.keys)*3 {
-		f.growStripe(st)
-	}
-	b := p + keyBias
-	keys, vals := st.keys, st.vals
-	mask := uint64(len(keys) - 1)
-	i := (h >> submapBits) & mask
-	for {
-		k := keys[i]
-		if k == b {
-			old := vals[i]
-			vals[i] = v
-			return old
-		}
-		if k == emptySlot {
-			keys[i] = b
-			vals[i] = v
-			st.n++
-			return 0
-		}
-		i = (i + 1) & mask
-	}
+	s := f.slot(p)
+	old := s.val
+	s.val = v
+	return old
 }
 
-// growStripe doubles one stripe's table and rehashes its entries.
+// growStripe doubles one stripe's table, reinserting the entries in
+// insertion order so the used list stays valid.
 func (f *Flat) growStripe(st *flatStripe) {
-	oldKeys, oldVals := st.keys, st.vals
-	n := len(oldKeys) * 2
-	keys := make([]uint64, n)
-	vals := make([]float64, n)
-	mask := uint64(n - 1)
-	for i, b := range oldKeys {
-		if b == emptySlot {
-			continue
+	old := st.slots
+	slots := make([]flatSlot, len(old)*2)
+	mask := uint64(len(slots) - 1)
+	for idx, sl := range st.used {
+		e := old[sl]
+		i := (hash64(e.key-keyBias) >> submapBits) & mask
+		for slots[i].key != emptySlot {
+			i = (i + 1) & mask
 		}
-		j := (hash64(b-keyBias) >> submapBits) & mask
-		for keys[j] != emptySlot {
-			j = (j + 1) & mask
-		}
-		keys[j] = b
-		vals[j] = oldVals[i]
+		slots[i] = e
+		st.used[idx] = int32(i)
 	}
-	st.keys, st.vals = keys, vals
-	f.grows.Add(1)
+	st.slots = slots
+	f.grows++
 }
 
 // Grows returns how many stripe rehashes this map has performed (the
-// ppr_pmap_grows_total feed; growth should vanish once capacity hints fit
-// the workload).
-func (f *Flat) Grows() int64 { return f.grows.Load() }
+// ppr_pmap_grows_total feed; growth vanishes once a recycled table has seen
+// the workload's largest query).
+func (f *Flat) Grows() int64 { return f.grows }
 
-// Get returns the value for k and whether it is present. Owner-only (or
-// quiescent map).
+// Get returns the value for k and whether it is present.
 func (f *Flat) Get(k Key) (float64, bool) {
 	p := k.pack()
 	h := hash64(p)
-	st := &f.stripes[h&(NumSubmaps-1)]
+	slots := f.stripes[h&(NumSubmaps-1)].slots
 	b := p + keyBias
-	keys := st.keys
-	mask := uint64(len(keys) - 1)
+	mask := uint64(len(slots) - 1)
 	i := (h >> submapBits) & mask
 	for {
-		kk := keys[i]
-		if kk == b {
-			return st.vals[i], true
+		s := &slots[i]
+		if s.key == b {
+			return s.val, true
 		}
-		if kk == emptySlot {
+		if s.key == emptySlot {
 			return 0, false
 		}
 		i = (i + 1) & mask
 	}
 }
 
-// Set stores v for k. Owner-only (or quiescent map).
-func (f *Flat) Set(k Key, v float64) { f.SwapP(k.pack(), v) }
+// Set stores v for k.
+func (f *Flat) Set(k Key, v float64) { f.slot(k.pack()).val = v }
 
-// Len returns the total number of keys. Only meaningful on a quiescent map.
+// Len returns the total number of keys.
 func (f *Flat) Len() int {
 	n := 0
 	for i := range f.stripes {
-		n += f.stripes[i].n
+		n += len(f.stripes[i].used)
 	}
 	return n
 }
 
-// Range calls f2 for every (key, value) pair. Quiescent-map only.
+// Cap returns the total number of slots across stripes — what the map
+// retains when it is kept for reuse.
+func (f *Flat) Cap() int {
+	n := 0
+	for i := range f.stripes {
+		n += len(f.stripes[i].slots)
+	}
+	return n
+}
+
+// Range calls f2 for every (key, value) pair, stripe-major and in insertion
+// order within a stripe.
 func (f *Flat) Range(f2 func(Key, float64) bool) {
 	for i := range f.stripes {
 		st := &f.stripes[i]
-		for j, b := range st.keys {
-			if b == emptySlot {
-				continue
-			}
-			if !f2(unpack(b-keyBias), st.vals[j]) {
+		for _, sl := range st.used {
+			e := st.slots[sl]
+			if !f2(unpack(e.key-keyBias), e.val) {
 				return
 			}
 		}
 	}
 }
 
-// Clear removes all keys, retaining the stripe storage.
+// Clear removes all keys, retaining the stripe storage. It costs time
+// proportional to the entries present: a sparse stripe resets slot by slot
+// along its used list, a dense one with a single memclr.
 func (f *Flat) Clear() {
 	for i := range f.stripes {
 		st := &f.stripes[i]
-		clear(st.keys)
-		st.n = 0
+		if resetSparse(len(st.used), len(st.slots)) {
+			for _, sl := range st.used {
+				st.slots[sl] = flatSlot{}
+			}
+		} else {
+			clear(st.slots)
+		}
+		st.used = st.used[:0]
+	}
+}
+
+// PoisonValue is what Poison leaves in every value: the 0xDB fill of
+// internal/mem's poison mode, read as a float64 (about -1.7e132).
+var PoisonValue = math.Float64frombits(0xDBDBDBDBDBDBDBDB)
+
+// Poison overwrites every stored value with PoisonValue, keys and lookups
+// intact, so that a reader of a map its owner has given up sees scores no
+// query produces instead of plausible stale ones (debug aid, see
+// mem.SetPoison).
+func (f *Flat) Poison() {
+	for i := range f.stripes {
+		st := &f.stripes[i]
+		for _, sl := range st.used {
+			st.slots[sl].val = PoisonValue
+		}
 	}
 }
 
 type flatSetStripe struct {
-	keys  []uint64 // probe table: packed key + keyBias; 0 = empty
-	slots []int32  // insertion-ordered slot indices into keys
-	_     [16]byte
+	keys []uint64 // probe table: packed key + keyBias; 0 = empty
+	used []int32  // insertion-ordered slot indices into keys
 }
 
-// FlatSet is the activated-vertex set for the affinity engine: a striped
-// probe table for O(1) dedup plus a dense per-stripe insertion list so
-// draining is a straight scan instead of a table walk. Same ownership rules
-// as Flat; the dense list keeps DrainStripe branch-light — one hoisted-bounds
-// loop over the slots, then either a sparse slot reset or one memclr,
-// whichever touches less memory.
+// FlatSet is the engine's activated-vertex set: a striped probe table for
+// O(1) dedup plus the dense per-stripe insertion list, so draining is a
+// straight scan instead of a table walk. Single-goroutine use, like Flat.
 type FlatSet struct {
 	stripes [NumSubmaps]flatSetStripe
-	grows   atomic.Int64
+	grows   int64
 }
 
 // NewFlatSet returns an empty set sized for capacityHint total keys.
@@ -244,11 +252,10 @@ func NewFlatSet(capacityHint int) *FlatSet {
 }
 
 // InsertP adds packed key p and reports whether it was newly added.
-// Owner-only: the caller must own p's stripe.
 func (s *FlatSet) InsertP(p uint64) bool {
 	h := hash64(p)
 	st := &s.stripes[h&(NumSubmaps-1)]
-	if len(st.slots)*4 >= len(st.keys)*3 {
+	if len(st.used)*4 >= len(st.keys)*3 {
 		s.growStripe(st)
 	}
 	b := p + keyBias
@@ -262,7 +269,7 @@ func (s *FlatSet) InsertP(p uint64) bool {
 		}
 		if k == emptySlot {
 			keys[i] = b
-			st.slots = append(st.slots, int32(i))
+			st.used = append(st.used, int32(i))
 			return true
 		}
 		i = (i + 1) & mask
@@ -270,65 +277,56 @@ func (s *FlatSet) InsertP(p uint64) bool {
 }
 
 // growStripe doubles one stripe's probe table, reinserting the live keys in
-// insertion order so the slot list stays valid.
+// insertion order so the used list stays valid.
 func (s *FlatSet) growStripe(st *flatSetStripe) {
 	n := len(st.keys) * 2
 	keys := make([]uint64, n)
 	mask := uint64(n - 1)
-	for idx, sl := range st.slots {
+	for idx, sl := range st.used {
 		b := st.keys[sl]
 		i := (hash64(b-keyBias) >> submapBits) & mask
 		for keys[i] != emptySlot {
 			i = (i + 1) & mask
 		}
 		keys[i] = b
-		st.slots[idx] = int32(i)
+		st.used[idx] = int32(i)
 	}
 	st.keys = keys
-	s.grows.Add(1)
+	s.grows++
 }
 
 // Grows returns how many stripe rehashes this set has performed.
-func (s *FlatSet) Grows() int64 { return s.grows.Load() }
-
-// DrainStripe appends stripe si's keys to dst in insertion order and clears
-// the stripe. Owner-only.
-func (s *FlatSet) DrainStripe(si int, dst []Key) []Key {
-	st := &s.stripes[si]
-	slots := st.slots
-	if len(slots) == 0 {
-		return dst
-	}
-	keys := st.keys
-	for _, sl := range slots {
-		dst = append(dst, unpack(keys[sl]-keyBias))
-	}
-	if len(slots)*4 >= len(keys) {
-		// Dense: one memclr beats resetting slot by slot.
-		clear(keys)
-	} else {
-		for _, sl := range slots {
-			keys[sl] = emptySlot
-		}
-	}
-	st.slots = slots[:0]
-	return dst
-}
+func (s *FlatSet) Grows() int64 { return s.grows }
 
 // Drain appends all keys to dst (stripe-major, insertion order within a
-// stripe) and clears the set. Quiescent-set only.
+// stripe) and clears the set, at a cost proportional to the keys present.
 func (s *FlatSet) Drain(dst []Key) []Key {
 	for si := range s.stripes {
-		dst = s.DrainStripe(si, dst)
+		st := &s.stripes[si]
+		if len(st.used) == 0 {
+			continue
+		}
+		keys := st.keys
+		for _, sl := range st.used {
+			dst = append(dst, unpack(keys[sl]-keyBias))
+		}
+		if resetSparse(len(st.used), len(keys)) {
+			for _, sl := range st.used {
+				keys[sl] = emptySlot
+			}
+		} else {
+			clear(keys)
+		}
+		st.used = st.used[:0]
 	}
 	return dst
 }
 
-// Len returns the number of keys. Quiescent-set only.
+// Len returns the number of keys.
 func (s *FlatSet) Len() int {
 	n := 0
 	for i := range s.stripes {
-		n += len(s.stripes[i].slots)
+		n += len(s.stripes[i].used)
 	}
 	return n
 }

@@ -1,9 +1,10 @@
 package pmap
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -127,21 +128,10 @@ func TestQuickFlatMatchesReference(t *testing.T) {
 	}
 }
 
-func TestStripeOfPackedMatchesSubmapIndex(t *testing.T) {
-	// Affinity workers own Striped submaps and Flat stripes under one rule:
-	// the two derivations must agree for every key.
-	for i := int32(0); i < 2000; i++ {
-		k := Key{Local: i, Shard: i % 5}
-		if StripeOfPacked(k.Packed()) != SubmapIndex(k) {
-			t.Fatalf("stripe/submap mismatch for %v", k)
-		}
-	}
-}
-
 func TestPackedRoundTrip(t *testing.T) {
 	f := func(local, shard int32) bool {
 		k := Key{Local: local, Shard: shard}
-		return UnpackKey(k.Packed()) == k
+		return unpack(k.Packed()) == k
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -172,36 +162,28 @@ func TestFlatSetBasics(t *testing.T) {
 	}
 }
 
-// DrainStripe preserves insertion order within a stripe, and both clear
-// strategies (sparse slot reset and dense memclr) leave the stripe reusable.
+// Drain is stripe-major and preserves insertion order within a stripe, and
+// both clear strategies (sparse slot reset and dense memclr) leave the set
+// reusable.
 func TestFlatSetDrainOrderAndReuse(t *testing.T) {
 	for _, n := range []int{3, 600} { // sparse stripes, then dense ones
 		s := NewFlatSet(64)
-		var want []Key
+		perStripe := make([][]Key, NumSubmaps)
 		for i := 0; i < n; i++ {
 			k := Key{Local: int32(i), Shard: 0}
 			s.InsertP(k.Packed())
-			want = append(want, k)
+			perStripe[SubmapIndex(k)] = append(perStripe[SubmapIndex(k)], k)
 		}
-		perStripe := make(map[int][]Key)
-		for _, k := range want {
-			si := StripeOfPacked(k.Packed())
-			perStripe[si] = append(perStripe[si], k)
+		var want []Key
+		for _, ks := range perStripe {
+			want = append(want, ks...)
 		}
-		for si := 0; si < NumSubmaps; si++ {
-			got := s.DrainStripe(si, nil)
-			if len(got) != len(perStripe[si]) {
-				t.Fatalf("n=%d stripe %d drained %d keys, want %d", n, si, len(got), len(perStripe[si]))
-			}
-			for j := range got {
-				if got[j] != perStripe[si][j] {
-					t.Fatalf("n=%d stripe %d out of insertion order at %d: %v vs %v",
-						n, si, j, got[j], perStripe[si][j])
-				}
-			}
+		got := s.Drain(nil)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d drain order:\n got %v\nwant %v", n, got, want)
 		}
 		if s.Len() != 0 {
-			t.Fatalf("n=%d keys left after full drain", n)
+			t.Fatalf("n=%d keys left after drain", n)
 		}
 		for _, k := range want { // the cleared tables must accept everything again
 			if !s.InsertP(k.Packed()) {
@@ -234,21 +216,91 @@ func TestFlatSetGrowth(t *testing.T) {
 	}
 }
 
-func TestPoolDoRoundsAndClose(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	if p.Workers() != 4 {
-		t.Fatalf("Workers = %d", p.Workers())
+// Clear is what lets one table serve query after query: a big fill followed
+// by a small one must leave nothing of the first behind, whichever of the two
+// reset strategies (used-list walk, memclr) each stripe took, and must keep
+// the grown capacity.
+func TestFlatClearLeavesNothingBehind(t *testing.T) {
+	f := NewFlat(64)
+	for i := int32(0); i < 5000; i++ {
+		f.AddP((Key{Local: i, Shard: i % 3}).Packed(), float64(i)+0.5)
 	}
-	var ran [4]atomic.Int64
-	for round := 0; round < 50; round++ {
-		p.Do(func(w int) { ran[w].Add(1) })
-		// Do is a barrier: after it returns, every worker ran this round.
-		for w := range ran {
-			if got := ran[w].Load(); got != int64(round+1) {
-				t.Fatalf("round %d: worker %d ran %d times", round, w, got)
+	grown := f.Cap()
+	for round, n := range []int32{5000, 40, 0, 3000} {
+		f.Clear()
+		if f.Len() != 0 {
+			t.Fatalf("round %d: Len = %d after Clear", round, f.Len())
+		}
+		f.Range(func(k Key, v float64) bool {
+			t.Fatalf("round %d: stale entry %v=%v after Clear", round, k, v)
+			return false
+		})
+		for i := int32(0); i < 5000; i += 7 {
+			if v, ok := f.Get(Key{Local: i, Shard: i % 3}); ok || v != 0 {
+				t.Fatalf("round %d: stale key %d readable after Clear: %v", round, i, v)
 			}
 		}
+		for i := int32(0); i < n; i++ {
+			if nv := f.AddP((Key{Local: i * 11, Shard: 1}).Packed(), 2); nv != 2 {
+				t.Fatalf("round %d: AddP on a cleared table returned %v, want 2", round, nv)
+			}
+		}
+		if f.Len() != int(n) {
+			t.Fatalf("round %d: Len = %d, want %d", round, f.Len(), n)
+		}
+	}
+	// Capacity survives: refilling with the first key set rehashes nothing.
+	f.Clear()
+	if f.Cap() < grown {
+		t.Fatalf("Cap shrank %d -> %d across Clear", grown, f.Cap())
+	}
+	grows := f.Grows()
+	for i := int32(0); i < 5000; i++ {
+		f.AddP((Key{Local: i, Shard: i % 3}).Packed(), 1)
+	}
+	if f.Grows() != grows {
+		t.Fatalf("refilling a cleared table grew it %d times", f.Grows()-grows)
+	}
+}
+
+// Range order depends on insertion order alone, not on how large the table
+// happened to be — a recycled (grown) table iterates like a fresh one.
+func TestFlatRangeOrderIgnoresCapacity(t *testing.T) {
+	small, big := NewFlat(16), NewFlat(1<<16)
+	for i := int32(0); i < 3000; i++ {
+		p := (Key{Local: i * 7, Shard: i % 4}).Packed()
+		small.AddP(p, float64(i))
+		big.AddP(p, float64(i))
+	}
+	var a, b []Key
+	small.Range(func(k Key, _ float64) bool { a = append(a, k); return true })
+	big.Range(func(k Key, _ float64) bool { b = append(b, k); return true })
+	if len(a) != 3000 || len(a) != len(b) {
+		t.Fatalf("ranged %d and %d keys, want 3000", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("position %d: %v in the small table, %v in the big one", i, a[i], b[i])
+		}
+	}
+}
+
+func TestFlatPoison(t *testing.T) {
+	f := NewFlat(64)
+	for i := int32(0); i < 100; i++ {
+		f.AddP((Key{Local: i}).Packed(), 1)
+	}
+	f.Poison()
+	n := 0
+	f.Range(func(_ Key, v float64) bool {
+		if v != PoisonValue {
+			t.Fatalf("value %v survived Poison", v)
+		}
+		n++
+		return true
+	})
+	if n != 100 {
+		t.Fatalf("ranged %d poisoned entries, want 100", n)
 	}
 }
 
@@ -282,5 +334,28 @@ func TestFlatSteadyStateAllocBudget(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state flat ops allocate %.1f objects per round, budget 0", allocs)
+	}
+}
+
+// BenchmarkFlatAddP times the residual update — the engine's innermost
+// operation — on tables of resident size 16 B × entries / load: the smallest
+// stays in L1/L2, the largest does not, which is where the single-slot layout
+// (one cache line per update, not one for the key and one for the value) pays.
+func BenchmarkFlatAddP(b *testing.B) {
+	for _, entries := range []int{1 << 12, 1 << 16, 1 << 20} {
+		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
+			f := NewFlat(entries)
+			rng := rand.New(rand.NewSource(1))
+			keys := make([]uint64, entries)
+			for i := range keys {
+				keys[i] = (Key{Local: rng.Int31(), Shard: int32(i & 3)}).Packed()
+				f.AddP(keys[i], 1)
+			}
+			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.AddP(keys[i&(entries-1)], 0.5)
+			}
+		})
 	}
 }
