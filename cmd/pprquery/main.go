@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"pprengine/internal/admit"
-	"pprengine/internal/cache"
 	"pprengine/internal/core"
 	"pprengine/internal/delta"
 	"pprengine/internal/deploy"
@@ -52,6 +51,7 @@ import (
 	"pprengine/internal/metrics"
 	"pprengine/internal/obs"
 	"pprengine/internal/rpc"
+	"pprengine/internal/stack"
 )
 
 func main() {
@@ -122,38 +122,23 @@ func main() {
 	cfg.Alpha = *alpha
 	cfg.Eps = *eps
 	cfg.QueryTimeout = *timeout
-	cfg.CacheBytes = *cacheBytes
-	cfg.AggWindow = *aggWindow
-	cfg.AggRows = *aggRows
 	cfg.ZeroCopy = *zeroCopy
 	cfg.Tenant = *tenant
 	cfg.Priority = *priority
+	mcfg := stack.Config{CacheBytes: *cacheBytes, AggWindow: *aggWindow, AggRows: *aggRows, ZeroCopy: *zeroCopy}
+	haOpts := ha.Options{ProbeInterval: *probeIvl, BreakerThreshold: *breakerThr}
 	dialCtx, cancelDial := context.WithTimeout(context.Background(), *dialTimeout)
-	var st *core.DistGraphStorage
-	var cleanup func()
-	if deploy.Replicated(peers) {
-		haOpts := ha.Options{ProbeInterval: *probeIvl, BreakerThreshold: *breakerThr}
-		st, _, cleanup, err = deploy.ConnectHA(dialCtx, *shardPath, *locPath, peers, cfg, haOpts, rpc.LatencyModel{})
-	} else {
-		st, cleanup, err = deploy.Connect(dialCtx, *shardPath, *locPath, deploy.PrimaryPeers(peers), rpc.LatencyModel{})
-		if err == nil {
-			if *cacheBytes > 0 {
-				st.AttachCache(cache.New(*cacheBytes))
-			}
-			if cfg.AggEnabled() {
-				st.AttachFetchAggregators(cfg.AggOptions())
-			}
-		}
-	}
+	machine, err := deploy.Connect(dialCtx, *shardPath, *locPath, peers, mcfg, haOpts, rpc.LatencyModel{})
 	cancelDial()
 	if err != nil {
 		logger.Error("connect failed", "err", err)
 		os.Exit(1)
 	}
-	defer cleanup()
-	// The sampling path has no per-query Config; its zero-copy gate follows
-	// the same -zerocopy knob as the fetch path.
-	st.SetSampleZeroCopy(*zeroCopy)
+	defer machine.Close()
+	st := machine.Handles[0]
+	// Sampling and feature fetches have no per-query Config; their zero-copy
+	// gate follows the same -zerocopy knob as the fetch path.
+	st.ZeroCopy = *zeroCopy
 	if *traceSample > 0 {
 		st.AttachTracer(obs.NewTracer(st.ShardID, *traceSample, 0))
 	}

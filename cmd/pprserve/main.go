@@ -52,7 +52,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -63,6 +62,7 @@ import (
 	"pprengine/internal/ha"
 	"pprengine/internal/obs"
 	"pprengine/internal/rpc"
+	"pprengine/internal/stack"
 )
 
 func main() {
@@ -184,43 +184,34 @@ func main() {
 		}
 		cfg := core.DefaultConfig()
 		cfg.QueryTimeout = *queryTimeout
-		cfg.CacheBytes = *cacheBytes
-		cfg.AggWindow = *aggWindow
-		cfg.AggRows = *aggRows
 		cfg.ZeroCopy = *zeroCopy
-		cfg.FeatCacheBytes = *featCacheB
-		cfg.FeatAdmitMass = *featAdmit
-		cfg.AdmitMaxInFlight = *admitInFl
-		cfg.AdmitMaxQueue = *admitQueue
-		cfg.AdmitTenantRate = *tenantRate
-		cfg.AdmitTenantBurst = *tenantBurst
-		cfg.Hedge = *hedge
-		cfg.HedgeDelay = *hedgeDelay
+		mcfg := stack.Config{
+			CacheBytes: *cacheBytes, AggWindow: *aggWindow, AggRows: *aggRows, ZeroCopy: *zeroCopy,
+			FeatCacheBytes: *featCacheB, FeatAdmitMass: *featAdmit,
+			AdmitMaxInFlight: *admitInFl, AdmitMaxQueue: *admitQueue,
+			AdmitTenantRate: *tenantRate, AdmitTenantBurst: *tenantBurst,
+			Hedge: *hedge, HedgeDelay: *hedgeDelay,
+		}
 		primaryPeers = deploy.PrimaryPeers(peers)
 		ctx, cancel := context.WithTimeout(context.Background(), *dialTimeout)
-		var cleanup func()
-		if deploy.Replicated(peers) {
-			haOpts := ha.Options{ProbeInterval: *probeIvl, BreakerThreshold: *breakerThr}
-			var router *ha.ReplicaRouter
-			compute, router, cleanup, err = deploy.EnableQueriesHA(ctx, srv, peers, cfg, haOpts, rpc.LatencyModel{})
-			if err == nil && admin != nil {
-				// A remote shard with every serving copy's breaker open means
-				// queries touching it will fail: report not-ready so traffic
-				// shifts to an owner that can still reach the whole graph.
-				admin.AddCheck("breakers", router.ReadyCheck)
-			}
-		} else {
-			compute, cleanup, err = deploy.EnableQueries(ctx, srv, deploy.PrimaryPeers(peers), cfg, rpc.LatencyModel{})
-		}
+		haOpts := ha.Options{ProbeInterval: *probeIvl, BreakerThreshold: *breakerThr}
+		machine, err := deploy.EnableQueries(ctx, srv, peers, mcfg, cfg, haOpts, rpc.LatencyModel{})
 		cancel()
 		if err != nil {
 			logger.Error("query service failed", "err", err)
 			os.Exit(1)
 		}
-		defer cleanup()
-		compute.SetSampleZeroCopy(*zeroCopy)
-		logger.Info("query service enabled", "peers", deploy.FormatReplicaPeers(peers))
-		if compute.Hedger != nil {
+		defer machine.Close()
+		compute = machine.Handles[0]
+		compute.ZeroCopy = *zeroCopy
+		logger.Info("query service enabled", "peers", deploy.FormatReplicaPeers(peers), "fetch_chain", machine.Stages())
+		if machine.Router != nil && admin != nil {
+			// A remote shard with every serving copy's breaker open means
+			// queries touching it will fail: report not-ready so traffic
+			// shifts to an owner that can still reach the whole graph.
+			admin.AddCheck("breakers", machine.Router.ReadyCheck)
+		}
+		if machine.Hedger != nil {
 			logger.Info("hedged fetches enabled", "delay", *hedgeDelay)
 		}
 		if ctrl := compute.Admit; ctrl != nil {
@@ -235,23 +226,7 @@ func main() {
 					w.Header().Set("Content-Type", "application/json")
 					json.NewEncoder(w).Encode(ctrl.Snapshot())
 				}))
-				// Per-tenant latency histograms, materialized lazily on each
-				// tenant's first completed query.
-				reg := admin.Registry()
-				var histMu sync.Mutex
-				hists := map[string]*obs.Histogram{}
-				ctrl.SetLatencyHook(func(tenant string, secs float64) {
-					histMu.Lock()
-					h := hists[tenant]
-					if h == nil {
-						h = reg.Histogram("ppr_tenant_query_seconds",
-							"Wall time of admitted SSPPR queries by tenant.",
-							obs.Labels{"tenant": tenant}, obs.DefBuckets)
-						hists[tenant] = h
-					}
-					histMu.Unlock()
-					h.Observe(secs)
-				})
+				ctrl.SetLatencyHook(obs.TenantLatencyHook(admin.Registry()))
 			}
 		}
 

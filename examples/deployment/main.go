@@ -14,9 +14,11 @@ import (
 	"pprengine/internal/core"
 	"pprengine/internal/deploy"
 	"pprengine/internal/graph"
+	"pprengine/internal/ha"
 	"pprengine/internal/partition"
 	"pprengine/internal/rpc"
 	"pprengine/internal/shard"
+	"pprengine/internal/stack"
 )
 
 func main() {
@@ -54,6 +56,7 @@ func main() {
 
 	// Start one storage server per "machine" (what cmd/pprserve does).
 	owners := map[int32]string{}
+	peers := map[int32][]string{}
 	var servers []*core.StorageServer
 	for i := 0; i < k; i++ {
 		srv, addr, err := deploy.Serve(filepath.Join(dir, fmt.Sprintf("shard-%d.bin", i)), locPath, "127.0.0.1:0")
@@ -63,14 +66,15 @@ func main() {
 		defer srv.Close()
 		servers = append(servers, srv)
 		owners[int32(i)] = addr
+		peers[int32(i)] = []string{addr}
 	}
 	// Enable the owner-compute query service on each.
 	for _, srv := range servers {
-		_, cleanup, err := deploy.EnableQueries(context.Background(), srv, owners, core.DefaultConfig(), rpc.LatencyModel{})
+		machine, err := deploy.EnableQueries(context.Background(), srv, peers, stack.Config{}, core.DefaultConfig(), ha.Options{}, rpc.LatencyModel{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer cleanup()
+		defer machine.Close()
 	}
 	fmt.Printf("serving: %v\n", deploy.FormatPeers(owners))
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pprengine/internal/ha"
+	"pprengine/internal/mem"
 	"pprengine/internal/metrics"
 	"pprengine/internal/obs"
 	"pprengine/internal/rpc"
@@ -144,11 +145,11 @@ type Result interface {
 // Future is a hedged call's pending result; the first finished attempt
 // resolves it.
 type Future struct {
-	done     chan struct{}
-	res      []byte
-	err      error
-	rel      func()
-	released atomic.Bool
+	done  chan struct{}
+	res   []byte
+	err   error
+	rel   func()
+	lease mem.Lease
 }
 
 // Done returns a channel closed when the winning attempt resolved.
@@ -171,17 +172,22 @@ func (f *Future) WaitCtx(ctx context.Context) ([]byte, error) {
 	}
 }
 
-// Release recycles the winning response's pooled buffer. Idempotent, no-op
-// before resolution.
+// Release recycles the winning response's pooled buffer. Idempotent.
+// Releasing a call that has not resolved abandons it: the race hands the
+// winner's buffer back itself.
 func (f *Future) Release() {
-	select {
-	case <-f.done:
-	default:
-		return
-	}
-	if f.released.CompareAndSwap(false, true) && f.rel != nil {
+	if f.lease.Release() && f.rel != nil {
 		f.rel()
 	}
+}
+
+// finish publishes the race's result.
+func (f *Future) finish() {
+	if !f.lease.Resolve() && f.rel != nil {
+		f.rel() // abandoned while in flight
+		f.res, f.err = nil, rpc.ErrAbandoned
+	}
+	close(f.done)
 }
 
 // Call issues one hedged request for dstShard.
@@ -215,7 +221,7 @@ type outcome struct {
 // the first breaker-allowed replica once the hedge delay elapses, first
 // success wins, loser cancelled and its buffer released.
 func (h *Hedger) run(f *Future, sc obs.SpanContext, dstShard int32, eps []*ha.Endpoint, m rpc.Method, payload []byte) {
-	defer close(f.done)
+	defer f.finish()
 	tracker := h.r.Tracker()
 	primary := eps[0]
 	start := time.Now()
@@ -341,6 +347,7 @@ func (h *Hedger) attempt(ctx context.Context, ep *ha.Endpoint, sc obs.SpanContex
 	span.SetErr(err != nil)
 	span.End()
 	if err != nil {
+		fut.Release() // a response racing the loser's cancel must not strand its buffer
 		return outcome{err: err}
 	}
 	return outcome{res: res, rel: fut.Release}

@@ -1,6 +1,10 @@
 // Package agg implements cross-query RPC fetch aggregation: a per-(machine,
-// destination-shard) coalescing layer in front of the rpc client that merges
-// the GetNeighborInfos requests of concurrent queries into one wire request.
+// destination-shard) coalescing layer in front of the transport that merges
+// the row fetches of concurrent queries into one wire request. It is the
+// aggregate stage of the fetch chain (DESIGN.md "Fetch chain"), and it owns
+// the chain's wire half: a Tier names how one row type is requested and
+// decoded, and the same Tier value serves merged flushes here and single
+// fetches in the chain, so each row type has one encode path and one decode.
 //
 // The paper's batching optimization (§3.2.3) merges all of ONE query's
 // requests to a destination shard per iteration. Under a heavy concurrent
@@ -10,20 +14,21 @@
 // (DistDGL, SALIENT++) show server-side sampling throughput hinges on
 // aggregating many clients' small fetches into few large transfers; this
 // package generalizes the paper's batching ACROSS queries. It composes with
-// the dynamic neighbor-row cache (internal/cache), which dedups IDENTICAL
-// rows: the aggregator coalesces DISTINCT rows headed to the same shard.
+// the dynamic row cache (internal/cache), which dedups IDENTICAL rows: the
+// aggregator coalesces DISTINCT rows headed to the same shard.
 //
 // Mechanism: concurrent fetches enqueue their ID lists into a shared pending
-// batch. A flush merges the batch into one MethodGetNeighborInfos request and
-// demultiplexes the CSR response back to each waiter by row range. Flush
-// triggers:
+// batch. A flush merges the batch into one request and demultiplexes the
+// response back to each waiter by row range. Flush triggers:
 //
 //   - idle: nothing in flight and nothing pending to this shard — flush
 //     immediately, so a lone query pays zero added latency (the
 //     zero-aggregation fast path);
 //   - a configurable time window after the batch opened (Options.Window),
 //     bounding the latency any fetch can absorb waiting for company;
-//   - a row cap (Options.MaxRows), bounding request size.
+//   - a row cap (Options.MaxRows), bounding request size;
+//   - an epoch boundary: only fetches pinned at the SAME mutation epoch may
+//     share a flush (the merged response is decoded as one graph view).
 //
 // A batch opened behind an in-flight flush deliberately waits out its full
 // window rather than flushing the moment the link frees up: the round trip
@@ -38,11 +43,13 @@ package agg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"pprengine/internal/mem"
 	"pprengine/internal/metrics"
 	"pprengine/internal/obs"
 	"pprengine/internal/rpc"
@@ -66,16 +73,15 @@ type Options struct {
 	// MaxRows flushes the pending batch as soon as it reaches this many
 	// requested rows, regardless of the window.
 	MaxRows int
-	// Tracer, when set, records one "agg:flush" span per flush, parented to
-	// the trace context of the ticket that opened the flush (riders share the
+	// Tracer, when set, records one flush span per flush, parented to the
+	// trace context of the ticket that opened the flush (riders share the
 	// flush, but only one query can own the span).
 	Tracer *obs.Tracer
-	// ZeroCopy decodes flush responses with wire.DecodeCSRView, so every
-	// ticket's rows alias the pooled response payload instead of a heap copy.
-	// The payload is held by a per-flush refcount (one count per ticket) and
-	// returns to its pool when the last ticket calls Release. Off, responses
-	// are copy-decoded and the payload is released as soon as the decode
-	// finishes — the pre-view behavior.
+	// ZeroCopy view-decodes flush responses, so every ticket's rows alias the
+	// pooled response payload instead of a heap copy. The payload is held by
+	// a per-flush refcount (one count per ticket) and returns to its pool
+	// when the last ticket calls Release. Off, responses are copy-decoded and
+	// the payload is released as soon as the decode finishes.
 	ZeroCopy bool
 }
 
@@ -93,14 +99,129 @@ func (o Options) maxRows() int {
 	return o.MaxRows
 }
 
+// Batch is one decoded response: row i of it answers the i-th requested ID.
+// A flush's Batch is shared by every ticket of the flush.
+type Batch interface{ NumRows() int }
+
+// FeatureBlock is the feature tier's Batch: a row-major [rows x Dim] block.
+type FeatureBlock struct {
+	Dim  int
+	Data []float32
+}
+
+// NumRows returns the number of whole rows, or -1 for a malformed block.
+func (b *FeatureBlock) NumRows() int {
+	if b.Dim <= 0 || len(b.Data)%b.Dim != 0 {
+		return -1
+	}
+	return len(b.Data) / b.Dim
+}
+
+// Rows returns rows [off, off+n) of the block.
+func (b *FeatureBlock) Rows(off, n int) []float32 { return b.Data[off*b.Dim : (off+n)*b.Dim] }
+
+// Tier is everything that differs between the row types the engine fetches:
+// the span its flushes record, how a request for IDs at an epoch is encoded,
+// how the response is decoded (once — aliased reports that the batch still
+// points into payload), and the /metrics series it feeds.
+type Tier struct {
+	Span   string
+	Encode func(epoch uint64, ids []int32) (rpc.Method, []byte)
+	Decode func(payload []byte, zeroCopy bool) (b Batch, aliased bool, err error)
+	// Empty answers a fetch of no rows without touching the wire.
+	Empty Batch
+
+	flushes, rows, shared *metrics.Counter
+}
+
+// Neighbors is the neighbor-row tier: CSR responses. Epoch 0 — the static
+// base graph — ships the legacy request; any other epoch ships an
+// epoch-stamped ID list to the epoch-pinned method.
+var Neighbors = &Tier{
+	Span: "agg:flush",
+	Encode: func(epoch uint64, ids []int32) (rpc.Method, []byte) {
+		if epoch != 0 {
+			return rpc.MethodGetNeighborInfosAt, wire.EncodeIDListAt(epoch, ids)
+		}
+		return rpc.MethodGetNeighborInfos, wire.EncodeIDList(ids)
+	},
+	Decode: func(payload []byte, zeroCopy bool) (Batch, bool, error) {
+		if !zeroCopy {
+			infos, err := wire.DecodeCSR(payload)
+			return infos, false, err
+		}
+		// Aliasable payloads decode to views over the pooled response buffer;
+		// a misaligned one falls back to a heap copy inside the decoder.
+		infos, err := wire.DecodeCSRView(payload, nil)
+		return infos, wire.CanAlias(payload), err
+	},
+	Empty:   &wire.NeighborInfos{Indptr: []int32{}},
+	flushes: &metrics.AggFlushes, rows: &metrics.AggRows, shared: &metrics.AggShared,
+}
+
+// Features is the feature-row tier: a flat row-major block. The feature store
+// is not epoch-versioned, so the epoch does not reach the wire.
+var Features = &Tier{
+	Span: "featagg:flush",
+	Encode: func(_ uint64, ids []int32) (rpc.Method, []byte) {
+		return rpc.MethodFetchFeatures, wire.EncodeIDList(ids)
+	},
+	Decode: func(payload []byte, zeroCopy bool) (Batch, bool, error) {
+		b := &FeatureBlock{}
+		var err error
+		if zeroCopy {
+			b.Dim, b.Data, err = wire.DecodeFeatureResponseView(payload)
+			return b, wire.CanAlias(payload), err
+		}
+		b.Dim, b.Data, err = wire.DecodeFeatureResponse(payload)
+		return b, false, err
+	},
+	Empty:   &FeatureBlock{},
+	flushes: &metrics.FeatAggFlushes, rows: &metrics.FeatAggRows, shared: &metrics.FeatAggShared,
+}
+
+// Response is the pending result of one wire request. *rpc.Future satisfies
+// it; so do the failover layer's routed call and the hedger's raced call.
+// Release hands the response's pooled payload buffer back once the consumer
+// is done with the bytes (idempotent, no-op before resolution).
+type Response interface {
+	Done() <-chan struct{}
+	Wait() ([]byte, error)
+	WaitCtx(ctx context.Context) ([]byte, error)
+	Release()
+}
+
+// failed is a Response that never reached the wire.
+type failed struct{ err error }
+
+// Failed returns an already-resolved Response carrying err.
+func Failed(err error) Response { return failed{err} }
+
+var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+func (f failed) Done() <-chan struct{}                   { return closedChan }
+func (f failed) Wait() ([]byte, error)                   { return nil, f.err }
+func (f failed) WaitCtx(context.Context) ([]byte, error) { return nil, f.err }
+func (f failed) Release()                                {}
+
+// Transport issues one wire request to a shard — the hedge → route → rpc tail
+// of the fetch chain as one value. ctx carries the request's trace context
+// and, on a plain client, its cancellation; the routed and hedged transports
+// deliberately ignore cancellation (a failover attempt loop is shared state —
+// waiters bound their own waits).
+type Transport func(ctx context.Context, shard int32, m rpc.Method, payload []byte) Response
+
+// ErrClosed fails fetches enqueued after the aggregator's machine shut down.
+var ErrClosed = errors.New("agg: aggregator closed")
+
 // Ticket is one enqueued fetch's handle on its share of a flush: rows
-// [Off, Off+len(locals)) of the merged CSR response.
+// [off, off+Rows()) of the merged response.
 type Ticket struct {
 	locals []int32
 	done   chan struct{}
 
 	// Resolved by the flush completion, published by closing done.
-	infos *wire.NeighborInfos
+	batch Batch
 	off   int
 	err   error
 
@@ -116,8 +237,8 @@ type Ticket struct {
 
 	// share refcounts the flush's pooled response payload when the decode
 	// aliased it (Options.ZeroCopy); nil when the rows were copied out.
-	share    *flushShare
-	released atomic.Bool
+	share *flushShare
+	lease mem.Lease
 }
 
 // flushShare is the refcount tying one flush's decoded view to its pooled
@@ -129,12 +250,16 @@ type flushShare struct {
 }
 
 func (s *flushShare) release() {
-	if s == nil {
-		return
-	}
-	if s.refs.Add(-1) == 0 {
+	if s != nil && s.refs.Add(-1) == 0 {
 		s.rel()
 	}
+}
+
+// resolve publishes a result that holds no share of any flush.
+func (t *Ticket) resolve(b Batch, err error) {
+	t.batch, t.err = b, err
+	t.lease.Resolve()
+	close(t.done)
 }
 
 // Rows returns the number of rows this ticket requested.
@@ -148,10 +273,10 @@ func (t *Ticket) Done() <-chan struct{} { return t.done }
 // the decoded batch shared by every ticket of the flush plus the offset of
 // this ticket's first row. Abandoning a Wait detaches only this waiter; the
 // flush still resolves the other tickets and a late response is not lost.
-func (t *Ticket) Wait(ctx context.Context) (infos *wire.NeighborInfos, off int, err error) {
+func (t *Ticket) Wait(ctx context.Context) (b Batch, off int, err error) {
 	select {
 	case <-t.done:
-		return t.infos, t.off, t.err
+		return t.batch, t.off, t.err
 	case <-ctx.Done():
 		return nil, 0, ctx.Err()
 	}
@@ -159,26 +284,19 @@ func (t *Ticket) Wait(ctx context.Context) (infos *wire.NeighborInfos, off int, 
 
 // Result returns the resolved batch, offset and error. It must only be
 // called after Done() closed (e.g. from a cache.Flight resolve callback).
-func (t *Ticket) Result() (infos *wire.NeighborInfos, off int, err error) {
-	return t.infos, t.off, t.err
+func (t *Ticket) Result() (b Batch, off int, err error) {
+	return t.batch, t.off, t.err
 }
 
 // Release returns this ticket's share of the flush's decoded response. With
 // ZeroCopy the rows alias the pooled response payload, so the caller must
 // not touch the batch returned by Wait/Result after Release; the last
-// ticket's Release returns the payload to its pool. Release is idempotent,
-// nil-safe, and a no-op before the ticket resolves (an abandoned ticket's
-// payload falls back to the garbage collector — never released early).
+// ticket's Release returns the payload to its pool. Idempotent and nil-safe.
+// Releasing before the flush resolves abandons the ticket: the completion
+// drops its share for it, so a query that gave up still hands the buffer
+// back.
 func (t *Ticket) Release() {
-	if t == nil {
-		return
-	}
-	select {
-	case <-t.done:
-	default:
-		return
-	}
-	if t.released.CompareAndSwap(false, true) {
+	if t != nil && t.lease.Release() {
 		t.share.release()
 	}
 }
@@ -195,43 +313,16 @@ func (t *Ticket) Accounting() (requests, bytes int64) {
 	}
 }
 
-// Response is the pending result of one issued flush. *rpc.Future satisfies
-// it; so does the failover layer's routed call future. Release hands the
-// response's pooled payload buffer back once the flush is done with it (see
-// the buffer-ownership rules in DESIGN.md §5h).
-type Response interface {
-	Wait() ([]byte, error)
-	Release()
-}
-
-// Transport issues one wire request for a flush. The two implementations are
-// a plain rpc client (clientTransport) and the replication layer's
-// ReplicaRouter bound to this aggregator's destination shard — the
-// aggregator itself stays transport-agnostic, so flush merging and failover
-// compose without knowing about each other.
-type Transport interface {
-	// Call issues one wire request. sc is the trace context the request
-	// should carry (zero when the flush's opener was not traced); it rides
-	// the request frame, not a cancellation context — a flush is shared
-	// machine state and must not die with any single query.
-	Call(sc obs.SpanContext, m rpc.Method, payload []byte) Response
-}
-
-// clientTransport adapts a plain *rpc.Client to Transport.
-type clientTransport struct{ c *rpc.Client }
-
-func (t clientTransport) Call(sc obs.SpanContext, m rpc.Method, payload []byte) Response {
-	return t.c.CallCtx(obs.ContextWith(context.Background(), sc), m, payload)
-}
-
-// Aggregator coalesces concurrent GetNeighborInfos fetches bound for one
+// Aggregator coalesces concurrent fetches of one tier bound for one
 // destination shard into merged wire requests over a single transport. It is
 // shared machine-wide (like the shard and the dynamic cache): every compute
 // process of a machine enqueues into the same pending batch. All methods are
 // safe for concurrent use.
 type Aggregator struct {
-	tr   Transport
-	opts Options
+	tier  *Tier
+	tr    Transport
+	shard int32
+	opts  Options
 
 	mu       sync.Mutex
 	pending  []*Ticket
@@ -240,6 +331,8 @@ type Aggregator struct {
 	inFlight int
 	timer    *time.Timer
 	gen      uint64 // batch generation, invalidates stale timer fires
+	closed   bool
+	flying   sync.WaitGroup // in-flight completions, for Close
 
 	flushes    atomic.Int64
 	flushedRow atomic.Int64
@@ -247,59 +340,49 @@ type Aggregator struct {
 	shared     atomic.Int64
 }
 
-// New returns an aggregator flushing over c. A nil client yields a nil
-// aggregator (the disabled value), so callers can build slices indexed by
-// shard with a nil entry for the local shard.
+// New returns a neighbor-row aggregator flushing over one client. A nil
+// client yields a nil aggregator (the disabled value).
 func New(c *rpc.Client, opts Options) *Aggregator {
 	if c == nil {
 		return nil
 	}
-	return NewTransport(clientTransport{c}, opts)
+	return NewTier(Neighbors, func(ctx context.Context, _ int32, m rpc.Method, payload []byte) Response {
+		return c.CallCtx(ctx, m, payload)
+	}, 0, opts)
 }
 
-// NewTransport returns an aggregator flushing over an arbitrary transport —
-// the constructor the replication layer uses to route flushes through a
-// ReplicaRouter. A nil transport yields a nil aggregator.
-func NewTransport(tr Transport, opts Options) *Aggregator {
-	if tr == nil {
-		return nil
-	}
-	return &Aggregator{tr: tr, opts: opts}
+// NewTier returns an aggregator for one tier's fetches to shard over tr.
+func NewTier(tier *Tier, tr Transport, shard int32, opts Options) *Aggregator {
+	return &Aggregator{tier: tier, tr: tr, shard: shard, opts: opts}
 }
 
-// Enqueue adds a fetch for locals to the pending batch and returns its
-// ticket. The flush carrying it is issued without any per-query context: a
-// flush is shared machine state, and one query abandoning its wait must not
-// kill a response other queries are waiting on (Ticket.Wait still honors the
-// waiter's own ctx).
+// Enqueue is EnqueueAt at the base epoch with no trace context.
 func (a *Aggregator) Enqueue(locals []int32) *Ticket {
-	return a.EnqueueTraced(obs.SpanContext{}, locals)
+	return a.EnqueueAt(obs.SpanContext{}, 0, locals)
 }
 
-// EnqueueTraced is Enqueue carrying the enqueuer's trace context: if this
-// ticket ends up opening a flush, the flush's span and wire request join the
-// enqueuer's trace.
-func (a *Aggregator) EnqueueTraced(sc obs.SpanContext, locals []int32) *Ticket {
-	return a.EnqueueTracedAt(sc, 0, locals)
-}
-
-// EnqueueTracedAt is EnqueueTraced pinned to a mutation epoch: only fetches
-// pinned at the SAME epoch may share a flush (the merged response is decoded
-// as one graph view, so mixing epochs would hand some ticket another epoch's
-// rows). A pending batch at a different epoch is flushed immediately and a
-// new batch opens at the enqueuer's epoch; under a steady epoch the batching
-// behavior is identical to EnqueueTraced. Epoch 0 — the static base graph —
-// flushes with the legacy request format; any other epoch ships an
-// epoch-stamped ID list to the epoch-pinned server method.
-func (a *Aggregator) EnqueueTracedAt(sc obs.SpanContext, epoch uint64, locals []int32) *Ticket {
+// EnqueueAt adds a fetch for locals, pinned at a mutation epoch, to the
+// pending batch and returns its ticket. A pending batch at a different epoch
+// is flushed first and a new batch opens at the enqueuer's epoch; under a
+// steady epoch batching is unaffected. sc is the enqueuer's trace context: if
+// this ticket ends up opening a flush, the flush's span and wire request join
+// that trace. The flush itself is issued without any per-query context: it is
+// shared machine state, and one query abandoning its wait must not kill a
+// response other queries are waiting on (Ticket.Wait still honors the
+// waiter's own ctx).
+func (a *Aggregator) EnqueueAt(sc obs.SpanContext, epoch uint64, locals []int32) *Ticket {
 	t := &Ticket{locals: locals, done: make(chan struct{}), sc: sc}
 	if len(locals) == 0 {
-		t.infos = &wire.NeighborInfos{Indptr: []int32{}}
-		close(t.done)
+		t.resolve(a.tier.Empty, nil)
 		return t
 	}
 	a.tickets.Add(1)
 	a.mu.Lock()
+	if a.closed {
+		a.mu.Unlock()
+		t.resolve(nil, ErrClosed)
+		return t
+	}
 	if len(a.pending) > 0 && a.epoch != epoch {
 		// Epoch boundary: the forming batch belongs to another graph view.
 		// Ship it now rather than mixing views in one response.
@@ -332,7 +415,7 @@ func (a *Aggregator) EnqueueTracedAt(sc obs.SpanContext, epoch uint64, locals []
 // a stale timer (its batch already flushed by the cap or a drain) a no-op.
 func (a *Aggregator) timedFlush(gen uint64) {
 	a.mu.Lock()
-	if a.gen == gen && len(a.pending) > 0 {
+	if a.gen == gen {
 		a.flushLocked()
 	}
 	a.mu.Unlock()
@@ -356,57 +439,44 @@ func (a *Aggregator) flushLocked() {
 	for _, t := range batch {
 		ids = append(ids, t.locals...)
 	}
-	method := rpc.MethodGetNeighborInfos
-	var payload []byte
-	if epoch := a.epoch; epoch != 0 {
-		method = rpc.MethodGetNeighborInfosAt
-		payload = wire.EncodeIDListAt(epoch, ids)
-	} else {
-		payload = wire.EncodeIDList(ids)
-	}
+	method, payload := a.tier.Encode(a.epoch, ids)
 	batch[0].wireReqs = 1
 	batch[0].wireBytes = int64(len(payload))
 	a.inFlight++
 	a.flushes.Add(1)
 	a.flushedRow.Add(int64(rows))
-	metrics.AggFlushes.Inc(1)
-	metrics.AggRows.Inc(int64(rows))
+	a.tier.flushes.Inc(1)
+	a.tier.rows.Inc(int64(rows))
 	if len(batch) > 1 {
 		a.shared.Add(int64(len(batch)))
-		metrics.AggShared.Inc(int64(len(batch)))
+		a.tier.shared.Inc(int64(len(batch)))
 	}
 	// The flush span (and the request's trace context) belong to the opener's
 	// trace; a span context derived from it keeps the rpc-server span a child
-	// of "agg:flush" rather than a sibling.
-	span := a.opts.Tracer.StartSpan(batch[0].sc, "agg:flush")
+	// of the flush rather than a sibling.
+	span := a.opts.Tracer.StartSpan(batch[0].sc, a.tier.Span)
 	sc := batch[0].sc
 	if c := span.Context(); c.Valid() {
 		sc = c
 	}
-	fut := a.tr.Call(sc, method, payload)
+	fut := a.tr(obs.ContextWith(context.Background(), sc), a.shard, method, payload)
+	a.flying.Add(1)
 	go a.complete(fut, span, batch, rows)
 }
 
-// complete resolves one flush: decode, demux by row range, release every
-// ticket. A batch pending behind this flush keeps accumulating until its own
-// window or row cap fires.
+// complete resolves one flush: decode once, hand every ticket its row range.
+// A batch pending behind this flush keeps accumulating until its own window
+// or row cap fires.
 func (a *Aggregator) complete(fut Response, span obs.ActiveSpan, batch []*Ticket, rows int) {
+	defer a.flying.Done()
 	payload, err := fut.Wait()
-	var infos *wire.NeighborInfos
+	var b Batch
 	aliased := false
 	if err == nil {
-		if a.opts.ZeroCopy {
-			// One decode per flush, shared by every ticket. When the payload
-			// is aliasable the views point straight into the pooled response
-			// buffer; the tickets' refcount decides when it goes home.
-			aliased = wire.CanAlias(payload)
-			infos, err = wire.DecodeCSRView(payload, nil)
-		} else {
-			infos, err = wire.DecodeCSR(payload)
-		}
+		b, aliased, err = a.tier.Decode(payload, a.opts.ZeroCopy)
 	}
-	if err == nil && infos.NumRows() != rows {
-		err = fmt.Errorf("agg: merged fetch returned %d rows, want %d", infos.NumRows(), rows)
+	if err == nil && b.NumRows() != rows {
+		err = fmt.Errorf("agg: merged fetch returned %d rows, want %d", b.NumRows(), rows)
 	}
 	var share *flushShare
 	if err == nil && aliased {
@@ -421,13 +491,30 @@ func (a *Aggregator) complete(fut Response, span obs.ActiveSpan, batch []*Ticket
 	span.End()
 	off := 0
 	for _, t := range batch {
-		t.infos, t.off, t.err, t.share = infos, off, err, share
+		t.batch, t.off, t.err, t.share = b, off, err, share
 		off += len(t.locals)
+		if !t.lease.Resolve() {
+			share.release() // abandoned while in flight
+		}
 		close(t.done)
 	}
 	a.mu.Lock()
 	a.inFlight--
 	a.mu.Unlock()
+}
+
+// Close ships the forming batch, fails later enqueues with ErrClosed, and
+// waits for every in-flight flush to resolve its tickets. The machine closes
+// its transports first, so the waits end promptly. Nil-safe.
+func (a *Aggregator) Close() {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	a.closed = true
+	a.flushLocked()
+	a.mu.Unlock()
+	a.flying.Wait()
 }
 
 // Stats is a point-in-time snapshot of one aggregator's counters.

@@ -2,172 +2,452 @@ package agg
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"pprengine/internal/obs"
 	"pprengine/internal/rpc"
 	"pprengine/internal/wire"
 )
 
-// synthInfos builds a deterministic per-ID neighbor row: vertex v has the
-// two neighbors (v, v+1) on shard 0 with weight 1 and row degree 2.
-func synthInfos(ids []int32) *wire.NeighborInfos {
-	n := &wire.NeighborInfos{Indptr: []int32{0}}
-	for _, v := range ids {
-		n.Locals = append(n.Locals, v, v+1)
-		n.Shards = append(n.Shards, 0, 0)
-		n.Weights = append(n.Weights, 1, 1)
-		n.WDegs = append(n.WDegs, 2, 2)
-		n.Indptr = append(n.Indptr, int32(len(n.Locals)))
-		n.RowWDeg = append(n.RowWDeg, 2)
-	}
-	return n
+// tierCase runs one suite over both instantiations of the aggregator: how the
+// fake peer answers a request for ids, and how a ticket's row range is read.
+type tierCase struct {
+	name    string
+	tier    *Tier
+	respond func(ids []int32) []byte
+	// check verifies rows [off, off+len(ids)) of b are ids' synthetic rows.
+	check func(t *testing.T, b Batch, off int, ids []int32)
 }
 
-// testServer serves synthetic CSR responses; requests block on gate when it
-// is non-nil (until the gate channel is closed), and any ID >= errID fails
-// the whole request.
-func testServer(t *testing.T, gate chan struct{}, errID int32) (*rpc.Server, *rpc.Client) {
-	t.Helper()
-	srv := rpc.NewServer()
-	srv.Handle(rpc.MethodGetNeighborInfos, func(p []byte) ([]byte, error) {
-		if gate != nil {
-			<-gate
-		}
-		ids, err := wire.DecodeIDList(p)
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range ids {
-			if errID > 0 && id >= errID {
-				return nil, fmt.Errorf("synthetic failure for id %d", id)
+const featDim = 4
+
+var tiers = []tierCase{
+	{
+		// Vertex v has the two neighbors (v, v+1) on shard 0, row degree 2.
+		name: "neighbors", tier: Neighbors,
+		respond: func(ids []int32) []byte {
+			n := &wire.NeighborInfos{Indptr: []int32{0}}
+			for _, v := range ids {
+				n.Locals = append(n.Locals, v, v+1)
+				n.Shards = append(n.Shards, 0, 0)
+				n.Weights = append(n.Weights, 1, 1)
+				n.WDegs = append(n.WDegs, 2, 2)
+				n.Indptr = append(n.Indptr, int32(len(n.Locals)))
+				n.RowWDeg = append(n.RowWDeg, 2)
 			}
-		}
-		return wire.EncodeCSR(synthInfos(ids)), nil
-	})
-	addr, err := srv.ListenAndServe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := rpc.Dial(addr, rpc.LatencyModel{})
-	if err != nil {
-		srv.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close(); srv.Close() })
-	return srv, c
+			return wire.EncodeCSR(n)
+		},
+		check: func(t *testing.T, b Batch, off int, ids []int32) {
+			t.Helper()
+			infos := b.(*wire.NeighborInfos)
+			for i, id := range ids {
+				locals, _, _, _ := infos.Row(off + i)
+				if len(locals) != 2 || locals[0] != id || locals[1] != id+1 || infos.RowWDeg[off+i] != 2 {
+					t.Fatalf("row %d for id %d = %v (wdeg %v)", off+i, id, locals, infos.RowWDeg[off+i])
+				}
+			}
+		},
+	},
+	{
+		// Row of v is [v, v+0.25, v+0.5, ...] at featDim.
+		name: "features", tier: Features,
+		respond: func(ids []int32) []byte {
+			feats := make([]float32, 0, len(ids)*featDim)
+			for _, v := range ids {
+				for j := 0; j < featDim; j++ {
+					feats = append(feats, float32(v)+float32(j)*0.25)
+				}
+			}
+			return wire.EncodeFeatureResponse(featDim, feats)
+		},
+		check: func(t *testing.T, b Batch, off int, ids []int32) {
+			t.Helper()
+			fb := b.(*FeatureBlock)
+			rows := fb.Rows(off, len(ids))
+			if (fb.Dim != featDim && len(ids) > 0) || len(rows) != len(ids)*featDim {
+				t.Fatalf("got %d floats at dim %d, want %d rows x %d", len(rows), fb.Dim, len(ids), featDim)
+			}
+			for i, v := range ids {
+				for j := 0; j < featDim; j++ {
+					if want := float32(v) + float32(j)*0.25; rows[i*featDim+j] != want {
+						t.Fatalf("row %d (id %d) col %d = %v, want %v", i, v, j, rows[i*featDim+j], want)
+					}
+				}
+			}
+		},
+	},
 }
 
-// checkRows verifies that ticket t resolved to its own IDs' synthetic rows.
-func checkRows(t *testing.T, tk *Ticket, ids []int32) {
+// fakePeer answers flushes in-process. A non-nil gate holds every response
+// until it closes, letting a test pile tickets into one flush; hold holds only
+// the first request. short truncates responses to that many rows.
+type fakePeer struct {
+	tc    tierCase
+	gate  chan struct{}
+	hold  chan struct{}
+	fail  error
+	short int
+
+	mu       sync.Mutex
+	calls    []call
+	released atomic.Int64
+}
+
+type call struct {
+	method rpc.Method
+	epoch  uint64
+	ids    []int32
+}
+
+type fakeResponse struct {
+	done     chan struct{}
+	payload  []byte
+	err      error
+	peer     *fakePeer
+	released atomic.Bool
+}
+
+func (r *fakeResponse) Done() <-chan struct{} { return r.done }
+func (r *fakeResponse) Wait() ([]byte, error) { <-r.done; return r.payload, r.err }
+func (r *fakeResponse) WaitCtx(ctx context.Context) ([]byte, error) {
+	select {
+	case <-r.done:
+		return r.payload, r.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+func (r *fakeResponse) Release() {
+	if r.released.CompareAndSwap(false, true) {
+		r.peer.released.Add(1)
+	}
+}
+
+func (p *fakePeer) transport(_ context.Context, _ int32, m rpc.Method, payload []byte) Response {
+	var c call
+	var err error
+	c.method = m
+	if m == rpc.MethodGetNeighborInfosAt {
+		c.epoch, c.ids, err = wire.DecodeIDListAt(payload)
+	} else {
+		c.ids, err = wire.DecodeIDList(payload)
+	}
+	if err != nil {
+		panic(err)
+	}
+	p.mu.Lock()
+	first := len(p.calls) == 0
+	p.calls = append(p.calls, c)
+	p.mu.Unlock()
+	r := &fakeResponse{done: make(chan struct{}), peer: p}
+	go func() {
+		if p.gate != nil {
+			<-p.gate
+		}
+		if first && p.hold != nil {
+			<-p.hold
+		}
+		ids := c.ids
+		if p.short > 0 && len(ids) > p.short {
+			ids = ids[:p.short]
+		}
+		r.payload, r.err = p.tc.respond(ids), p.fail
+		close(r.done)
+	}()
+	return r
+}
+
+func (p *fakePeer) numCalls() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.calls)
+}
+
+func forEachTier(t *testing.T, f func(t *testing.T, tc tierCase)) {
+	for _, tc := range tiers {
+		t.Run(tc.name, func(t *testing.T) { f(t, tc) })
+	}
+}
+
+func checkTicket(t *testing.T, tc tierCase, tk *Ticket, ids []int32) {
 	t.Helper()
-	infos, off, err := tk.Wait(context.Background())
+	b, off, err := tk.Wait(context.Background())
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	for i, id := range ids {
-		locals, _, _, _ := infos.Row(off + i)
-		if len(locals) != 2 || locals[0] != id || locals[1] != id+1 {
-			t.Fatalf("row %d for id %d = %v, want [%d %d]", off+i, id, locals, id, id+1)
-		}
-		if infos.RowWDeg[off+i] != 2 {
-			t.Fatalf("row %d wdeg = %v, want 2", off+i, infos.RowWDeg[off+i])
-		}
-	}
+	tc.check(t, b, off, ids)
 }
 
-// TestImmediateFlushWhenIdle: with nothing in flight every fetch flushes on
-// its own — the single-query fast path adds no latency and no batching.
+// With nothing in flight every fetch flushes on its own — the single-query
+// fast path adds no latency and no batching.
 func TestImmediateFlushWhenIdle(t *testing.T) {
-	srv, c := testServer(t, nil, 0)
-	a := New(c, Options{Window: time.Minute})
-	for i := int32(0); i < 3; i++ {
-		checkRows(t, a.Enqueue([]int32{i * 10}), []int32{i * 10})
-	}
-	if got := srv.Stats().Requests[rpc.MethodGetNeighborInfos]; got != 3 {
-		t.Fatalf("server saw %d requests, want 3 (one per idle fetch)", got)
-	}
-	st := a.Stats()
-	if st.Flushes != 3 || st.Shared != 0 || st.Tickets != 3 || st.Rows != 3 {
-		t.Fatalf("stats = %+v, want 3 flushes, 0 shared, 3 tickets, 3 rows", st)
-	}
+	forEachTier(t, func(t *testing.T, tc tierCase) {
+		p := &fakePeer{tc: tc}
+		a := NewTier(tc.tier, p.transport, 1, Options{Window: time.Minute})
+		for i := int32(0); i < 3; i++ {
+			checkTicket(t, tc, a.Enqueue([]int32{i * 10}), []int32{i * 10})
+		}
+		if got := p.numCalls(); got != 3 {
+			t.Fatalf("peer saw %d requests, want 3 (one per idle fetch)", got)
+		}
+		if st := a.Stats(); st.Flushes != 3 || st.Shared != 0 || st.Tickets != 3 || st.Rows != 3 {
+			t.Fatalf("stats = %+v, want 3 flushes, 0 shared, 3 tickets, 3 rows", st)
+		}
+	})
 }
 
-// TestConcurrentFetchesCoalesce: fetches arriving while a flush is on the
-// wire share the next flush — three queries, two wire requests.
+// Fetches arriving while a flush is on the wire share the next flush — three
+// queries, two wire requests — and each flush's wire accounting lands on its
+// opener, never on the riders.
 func TestConcurrentFetchesCoalesce(t *testing.T) {
-	gate := make(chan struct{})
-	srv, c := testServer(t, gate, 0)
-	a := New(c, Options{Window: 5 * time.Millisecond})
-	t1 := a.Enqueue([]int32{1})    // idle -> immediate flush, blocks on gate
-	t2 := a.Enqueue([]int32{2, 3}) // batch behind the in-flight flush
-	t3 := a.Enqueue([]int32{4})    // joins the batch; flushed by its window
-	close(gate)
-	checkRows(t, t1, []int32{1})
-	checkRows(t, t2, []int32{2, 3})
-	checkRows(t, t3, []int32{4})
-	if got := srv.Stats().Requests[rpc.MethodGetNeighborInfos]; got != 2 {
-		t.Fatalf("server saw %d requests, want 2 (1 immediate + 1 merged)", got)
-	}
-	st := a.Stats()
-	if st.Flushes != 2 || st.Shared != 2 || st.Tickets != 3 || st.Rows != 4 {
-		t.Fatalf("stats = %+v, want 2 flushes, 2 shared, 3 tickets, 4 rows", st)
-	}
-	// The opener of each flush carries its wire accounting; riders are free.
-	if r, _ := t1.Accounting(); r != 1 {
-		t.Fatalf("t1 requests = %d, want 1", r)
-	}
-	if r, b := t2.Accounting(); r != 1 || b != int64(len(wire.EncodeIDList([]int32{2, 3, 4}))) {
-		t.Fatalf("t2 accounting = (%d, %d), want the merged flush", r, b)
-	}
-	if r, b := t3.Accounting(); r != 0 || b != 0 {
-		t.Fatalf("t3 accounting = (%d, %d), want (0, 0) for a rider", r, b)
-	}
+	forEachTier(t, func(t *testing.T, tc tierCase) {
+		p := &fakePeer{tc: tc, gate: make(chan struct{})}
+		a := NewTier(tc.tier, p.transport, 1, Options{Window: 5 * time.Millisecond})
+		t1 := a.Enqueue([]int32{1})    // idle -> immediate flush, blocks on gate
+		t2 := a.Enqueue([]int32{2, 3}) // batch behind the in-flight flush
+		t3 := a.Enqueue([]int32{4})    // joins the batch; flushed by its window
+		close(p.gate)
+		checkTicket(t, tc, t1, []int32{1})
+		checkTicket(t, tc, t2, []int32{2, 3})
+		checkTicket(t, tc, t3, []int32{4})
+		if got := p.numCalls(); got != 2 {
+			t.Fatalf("peer saw %d requests, want 2 (1 immediate + 1 merged)", got)
+		}
+		if st := a.Stats(); st.Flushes != 2 || st.Shared != 2 || st.Tickets != 3 || st.Rows != 4 {
+			t.Fatalf("stats = %+v, want 2 flushes, 2 shared, 3 tickets, 4 rows", st)
+		}
+		if r, _ := t1.Accounting(); r != 1 {
+			t.Fatalf("t1 requests = %d, want 1", r)
+		}
+		if r, b := t2.Accounting(); r != 1 || b != int64(len(wire.EncodeIDList([]int32{2, 3, 4}))) {
+			t.Fatalf("t2 accounting = (%d, %d), want the merged flush", r, b)
+		}
+		if r, b := t3.Accounting(); r != 0 || b != 0 {
+			t.Fatalf("t3 accounting = (%d, %d), want (0, 0) for a rider", r, b)
+		}
+	})
 }
 
-// TestRowCapFlush: reaching MaxRows flushes the pending batch even while
-// another flush is in flight and long before the window expires.
+// Reaching MaxRows flushes the pending batch even while another flush is in
+// flight and long before the window expires.
 func TestRowCapFlush(t *testing.T) {
-	gate := make(chan struct{})
-	srv, c := testServer(t, gate, 0)
-	a := New(c, Options{Window: time.Minute, MaxRows: 2})
-	t1 := a.Enqueue([]int32{1}) // immediate
-	t2 := a.Enqueue([]int32{2})
-	t3 := a.Enqueue([]int32{3}) // pending rows hit the cap -> second flush now
-	if got := a.Stats().Flushes; got != 2 {
-		t.Fatalf("flushes before gate release = %d, want 2 (cap-triggered)", got)
-	}
-	close(gate)
-	checkRows(t, t1, []int32{1})
-	checkRows(t, t2, []int32{2})
-	checkRows(t, t3, []int32{3})
-	if got := srv.Stats().Requests[rpc.MethodGetNeighborInfos]; got != 2 {
-		t.Fatalf("server saw %d requests, want 2", got)
-	}
+	forEachTier(t, func(t *testing.T, tc tierCase) {
+		p := &fakePeer{tc: tc, gate: make(chan struct{})}
+		a := NewTier(tc.tier, p.transport, 1, Options{Window: time.Hour, MaxRows: 3})
+		t1 := a.Enqueue([]int32{1}) // immediate
+		t2 := a.Enqueue([]int32{2})
+		t3 := a.Enqueue([]int32{3, 4}) // pending rows hit the cap -> second flush now
+		if got := a.Stats().Flushes; got != 2 {
+			t.Fatalf("flushes before gate release = %d, want 2 (cap-triggered)", got)
+		}
+		close(p.gate)
+		checkTicket(t, tc, t1, []int32{1})
+		checkTicket(t, tc, t2, []int32{2})
+		checkTicket(t, tc, t3, []int32{3, 4})
+		if got := p.numCalls(); got != 2 {
+			t.Fatalf("peer saw %d requests, want 2", got)
+		}
+	})
 }
 
-// TestWindowFlush: a batch opened behind an in-flight flush goes out after
-// the window even if that flush never completes in time.
+// A batch opened behind an in-flight flush goes out after the window even if
+// that flush never completes in time.
 func TestWindowFlush(t *testing.T) {
-	release := make(chan struct{}) // releases only the FIRST request
-	first := true
-	var mu sync.Mutex
+	forEachTier(t, func(t *testing.T, tc tierCase) {
+		p := &fakePeer{tc: tc, hold: make(chan struct{})}
+		a := NewTier(tc.tier, p.transport, 1, Options{Window: 2 * time.Millisecond})
+		t1 := a.Enqueue([]int32{1}) // in flight, held
+		t2 := a.Enqueue([]int32{2}) // opens a batch; window timer armed
+		// t2's window expires while t1 is still stuck on the wire, so t2's
+		// flush goes out on its own and resolves first.
+		checkTicket(t, tc, t2, []int32{2})
+		close(p.hold)
+		checkTicket(t, tc, t1, []int32{1})
+		if got := p.numCalls(); got != 2 {
+			t.Fatalf("peer saw %d requests, want 2", got)
+		}
+	})
+}
+
+// A failed flush fails every ticket it carried.
+func TestErrorPropagatesToAllWaiters(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tc tierCase) {
+		boom := errors.New("boom")
+		p := &fakePeer{tc: tc, fail: boom, gate: make(chan struct{})}
+		a := NewTier(tc.tier, p.transport, 1, Options{Window: time.Millisecond})
+		t1 := a.Enqueue([]int32{1})
+		t2 := a.Enqueue([]int32{2})
+		close(p.gate)
+		for i, tk := range []*Ticket{t1, t2} {
+			if _, _, err := tk.Wait(context.Background()); !errors.Is(err, boom) {
+				t.Fatalf("ticket %d err = %v, want the flush's error", i, err)
+			}
+		}
+	})
+}
+
+// The peer answers fewer rows than the merged request asked for: the flush
+// must fail instead of mis-slicing row ranges across tickets.
+func TestValidatesRowCount(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tc tierCase) {
+		p := &fakePeer{tc: tc, short: 1}
+		a := NewTier(tc.tier, p.transport, 1, Options{Window: time.Millisecond})
+		if _, _, err := a.Enqueue([]int32{1, 2, 3}).Wait(context.Background()); err == nil {
+			t.Fatal("short response was not rejected")
+		}
+	})
+}
+
+// A waiter abandoning its Wait does not poison the flush — the other
+// participants still get their rows, and the abandoned ticket itself still
+// resolves for anyone holding it.
+func TestCancelledWaiterDetaches(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tc tierCase) {
+		p := &fakePeer{tc: tc, gate: make(chan struct{})}
+		a := NewTier(tc.tier, p.transport, 1, Options{Window: 5 * time.Millisecond})
+		t1 := a.Enqueue([]int32{1})
+		t2 := a.Enqueue([]int32{2})
+		t3 := a.Enqueue([]int32{3})
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, _, err := t2.Wait(ctx); err != context.Canceled {
+			t.Fatalf("cancelled Wait = %v, want context.Canceled", err)
+		}
+		close(p.gate)
+		checkTicket(t, tc, t1, []int32{1})
+		checkTicket(t, tc, t3, []int32{3})
+		checkTicket(t, tc, t2, []int32{2}) // the flush resolved it regardless
+	})
+}
+
+// A zero-row fetch resolves immediately without traffic.
+func TestEmptyEnqueue(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tc tierCase) {
+		p := &fakePeer{tc: tc}
+		a := NewTier(tc.tier, p.transport, 1, Options{})
+		tk := a.Enqueue(nil)
+		select {
+		case <-tk.Done():
+		default:
+			t.Fatal("empty ticket not resolved immediately")
+		}
+		b, off, err := tk.Result()
+		if err != nil || off != 0 {
+			t.Fatalf("empty enqueue = (%v, %d, %v)", b, off, err)
+		}
+		tc.check(t, b, 0, nil)
+		if p.numCalls() != 0 {
+			t.Fatal("empty ticket reached the wire")
+		}
+	})
+}
+
+// Only fetches pinned at the same mutation epoch share a flush: a pending
+// batch at another epoch is shipped first, and each request carries its own
+// epoch (neighbor tier: method 1 at epoch 0, method 11 otherwise).
+func TestBatchesAreEpochPure(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tc tierCase) {
+		p := &fakePeer{tc: tc, gate: make(chan struct{})}
+		a := NewTier(tc.tier, p.transport, 1, Options{Window: time.Hour})
+		sc := obs.SpanContext{}
+		t0 := a.EnqueueAt(sc, 0, []int32{1})  // immediate, epoch 0
+		t5a := a.EnqueueAt(sc, 5, []int32{2}) // opens a batch at epoch 5
+		t5b := a.EnqueueAt(sc, 5, []int32{3}) // same epoch: rides it
+		t6 := a.EnqueueAt(sc, 6, []int32{4})  // boundary: ships the epoch-5 batch
+		if got := a.Stats().Flushes; got != 2 {
+			t.Fatalf("flushes at the epoch boundary = %d, want 2", got)
+		}
+		close(p.gate)
+		a.Close() // ships the epoch-6 batch
+		checkTicket(t, tc, t0, []int32{1})
+		checkTicket(t, tc, t5a, []int32{2})
+		checkTicket(t, tc, t5b, []int32{3})
+		checkTicket(t, tc, t6, []int32{4})
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		want := []call{{ids: []int32{1}}, {epoch: 5, ids: []int32{2, 3}}, {epoch: 6, ids: []int32{4}}}
+		if len(p.calls) != len(want) {
+			t.Fatalf("peer saw %d requests, want %d", len(p.calls), len(want))
+		}
+		for i, c := range p.calls {
+			if len(c.ids) != len(want[i].ids) || c.ids[0] != want[i].ids[0] {
+				t.Fatalf("request %d carried ids %v, want %v", i, c.ids, want[i].ids)
+			}
+			if tc.tier == Neighbors && c.epoch != want[i].epoch {
+				t.Fatalf("request %d at epoch %d, want %d", i, c.epoch, want[i].epoch)
+			}
+		}
+	})
+}
+
+// The flush's pooled payload is held by one count per ticket and goes home
+// exactly once: at the last Release, or — for a ticket released before the
+// flush resolved — when the flush completes.
+func TestSharesReleasePayloadOnce(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tc tierCase) {
+		p := &fakePeer{tc: tc, gate: make(chan struct{})}
+		a := NewTier(tc.tier, p.transport, 1, Options{Window: time.Hour, MaxRows: 2, ZeroCopy: true})
+		t1 := a.Enqueue([]int32{1})
+		t2 := a.Enqueue([]int32{2})
+		t3 := a.Enqueue([]int32{3}) // t2+t3 merge at the cap
+		t2.Release()                // abandoned while in flight
+		close(p.gate)
+		checkTicket(t, tc, t1, []int32{1})
+		checkTicket(t, tc, t3, []int32{3})
+		t1.Release()
+		t1.Release() // idempotent
+		if got := p.released.Load(); got != 1 {
+			t.Fatalf("payloads released = %d, want 1 (t1's flush)", got)
+		}
+		t3.Release()
+		a.Close()
+		if got := p.released.Load(); got != 2 {
+			t.Fatalf("payloads released = %d, want both flushes'", got)
+		}
+	})
+}
+
+// Close ships the forming batch, waits for in-flight flushes, and fails later
+// fetches.
+func TestCloseDrains(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tc tierCase) {
+		p := &fakePeer{tc: tc, hold: make(chan struct{})}
+		a := NewTier(tc.tier, p.transport, 1, Options{Window: time.Hour})
+		t1 := a.Enqueue([]int32{1})
+		t2 := a.Enqueue([]int32{2}) // pending behind t1, window never fires
+		closed := make(chan struct{})
+		go func() { a.Close(); close(closed) }()
+		checkTicket(t, tc, t2, []int32{2}) // Close shipped it
+		select {
+		case <-closed:
+			t.Fatal("Close returned with a flush still in flight")
+		case <-time.After(5 * time.Millisecond):
+		}
+		close(p.hold)
+		<-closed
+		checkTicket(t, tc, t1, []int32{1})
+		if _, _, err := a.Enqueue([]int32{3}).Wait(context.Background()); !errors.Is(err, ErrClosed) {
+			t.Fatalf("enqueue after Close: err = %v, want ErrClosed", err)
+		}
+	})
+}
+
+// Many goroutines through one aggregator, over a real loopback connection
+// (the constructor the benchmark's probe uses), under the race detector:
+// every ticket resolves to its own rows.
+func TestConcurrentHammer(t *testing.T) {
+	tc := tiers[0]
 	srv := rpc.NewServer()
 	srv.Handle(rpc.MethodGetNeighborInfos, func(p []byte) ([]byte, error) {
-		mu.Lock()
-		mine := first
-		first = false
-		mu.Unlock()
-		if mine {
-			<-release
-		}
 		ids, err := wire.DecodeIDList(p)
 		if err != nil {
 			return nil, err
 		}
-		return wire.EncodeCSR(synthInfos(ids)), nil
+		return tc.respond(ids), nil
 	})
 	addr, err := srv.ListenAndServe()
 	if err != nil {
@@ -179,79 +459,10 @@ func TestWindowFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close(); srv.Close() })
-
-	a := New(c, Options{Window: 2 * time.Millisecond})
-	t1 := a.Enqueue([]int32{1}) // in flight, blocked on release
-	t2 := a.Enqueue([]int32{2}) // opens a batch; window timer armed
-	// t2's window expires while t1 is still stuck on the wire, so t2's flush
-	// goes out on its own and resolves first.
-	checkRows(t, t2, []int32{2})
-	close(release)
-	checkRows(t, t1, []int32{1})
-	if got := srv.Stats().Requests[rpc.MethodGetNeighborInfos]; got != 2 {
-		t.Fatalf("server saw %d requests, want 2", got)
+	if New(nil, Options{}) != nil {
+		t.Fatal("New over a nil client must return the disabled (nil) aggregator")
 	}
-}
-
-// TestErrorPropagatesToAllWaiters: a failed flush fails every ticket it
-// carried — and only those.
-func TestErrorPropagatesToAllWaiters(t *testing.T) {
-	gate := make(chan struct{})
-	_, c := testServer(t, gate, 1000)
-	a := New(c, Options{Window: 5 * time.Millisecond})
-	ok := a.Enqueue([]int32{1})      // first flush: succeeds
-	bad1 := a.Enqueue([]int32{1000}) // merged second flush: handler fails it
-	bad2 := a.Enqueue([]int32{5})    // innocent rider on the failed flush
-	close(gate)
-	checkRows(t, ok, []int32{1})
-	if _, _, err := bad1.Wait(context.Background()); err == nil {
-		t.Fatal("bad1 resolved without error")
-	}
-	if _, _, err := bad2.Wait(context.Background()); err == nil {
-		t.Fatal("bad2 must inherit its flush's error")
-	}
-}
-
-// TestCancelledWaiterDetaches: a waiter abandoning its Wait does not poison
-// the flush — the other participant still gets its rows, and the abandoned
-// ticket itself still resolves for anyone holding it.
-func TestCancelledWaiterDetaches(t *testing.T) {
-	gate := make(chan struct{})
-	_, c := testServer(t, gate, 0)
-	a := New(c, Options{Window: 5 * time.Millisecond})
-	t1 := a.Enqueue([]int32{1})
-	t2 := a.Enqueue([]int32{2})
-	t3 := a.Enqueue([]int32{3})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := t2.Wait(ctx); err != context.Canceled {
-		t.Fatalf("cancelled Wait = %v, want context.Canceled", err)
-	}
-	close(gate)
-	checkRows(t, t1, []int32{1})
-	checkRows(t, t3, []int32{3})
-	checkRows(t, t2, []int32{2}) // the flush resolved it regardless
-}
-
-// TestEmptyEnqueue: a zero-row fetch resolves immediately without traffic.
-func TestEmptyEnqueue(t *testing.T) {
-	srv, c := testServer(t, nil, 0)
-	a := New(c, Options{})
-	tk := a.Enqueue(nil)
-	infos, off, err := tk.Wait(context.Background())
-	if err != nil || off != 0 || infos.NumRows() != 0 {
-		t.Fatalf("empty enqueue = (%v, %d, %v), want empty batch", infos, off, err)
-	}
-	if got := srv.Stats().Requests[rpc.MethodGetNeighborInfos]; got != 0 {
-		t.Fatalf("server saw %d requests, want 0", got)
-	}
-}
-
-// TestConcurrentHammer drives many goroutines through one aggregator under
-// the race detector and checks every ticket resolves to its own rows.
-func TestConcurrentHammer(t *testing.T) {
-	_, c := testServer(t, nil, 0)
-	a := New(c, Options{Window: 100 * time.Microsecond})
+	a := New(c, Options{Window: 100 * time.Microsecond, ZeroCopy: true})
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
@@ -260,27 +471,18 @@ func TestConcurrentHammer(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				ids := []int32{int32(w*1000 + i), int32(w*1000 + i + 500)}
 				tk := a.Enqueue(ids)
-				infos, off, err := tk.Wait(context.Background())
+				b, off, err := tk.Wait(context.Background())
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
-				for k, id := range ids {
-					locals, _, _, _ := infos.Row(off + k)
-					if locals[0] != id {
-						t.Errorf("worker %d: row %d = %d, want %d", w, off+k, locals[0], id)
-						return
-					}
-				}
+				tc.check(t, b, off, ids)
+				tk.Release()
 			}
 		}(w)
 	}
 	wg.Wait()
-	st := a.Stats()
-	if st.Tickets != 16*50 {
-		t.Fatalf("tickets = %d, want %d", st.Tickets, 16*50)
-	}
-	if st.Rows != 16*50*2 {
-		t.Fatalf("rows = %d, want %d", st.Rows, 16*50*2)
+	if st := a.Stats(); st.Tickets != 16*50 || st.Rows != 16*50*2 {
+		t.Fatalf("stats = %+v, want %d tickets, %d rows", st, 16*50, 16*50*2)
 	}
 }

@@ -1,26 +1,27 @@
-// Package cache implements the dynamic remote-neighbor-row cache that sits
-// between the query drivers and the RPC layer. The paper's halo cache
-// (§3.2.1) is static: it short-circuits remote fetches only for neighbors
-// captured at partition time. Under a heavy query stream the same hub
-// vertices are re-fetched over RPC by every query that touches them — on
-// power-law graphs a small set of high-degree vertices dominates that
-// traffic. This package adds the missing dynamic layer:
+// Package cache implements the dynamic remote-row cache tier of the fetch
+// chain (DESIGN.md "Fetch chain"). The paper's halo cache (§3.2.1) is static:
+// it short-circuits remote fetches only for neighbors captured at partition
+// time. Under a heavy query stream the same hub vertices are re-fetched over
+// RPC by every query that touches them — on power-law graphs a small set of
+// high-degree vertices dominates that traffic. This package adds the missing
+// dynamic layer, once, for every row type the engine fetches:
 //
-//   - a sharded, byte-budgeted LRU of decoded neighbor rows keyed by
-//     (shard ID, local ID, mutation epoch). The base graph is immutable and
-//     the delta tier (internal/delta) never rewrites an epoch once applied,
-//     so entries never need invalidation: a row cached at epoch N simply
-//     cannot answer a read pinned at epoch N+1 — the keys differ — and stale
-//     epochs age out of the LRU. Static deployments use epoch 0 throughout
-//     and see the original single-key behavior;
+//   - a sharded, byte-budgeted LRU keyed by (shard ID, local ID, mutation
+//     epoch). The base graph is immutable and the delta tier (internal/delta)
+//     never rewrites an epoch once applied, so entries never need
+//     invalidation: a row cached at epoch N simply cannot answer a read
+//     pinned at epoch N+1 — the keys differ — and stale epochs age out of the
+//     LRU. Static deployments use epoch 0 throughout;
 //
 //   - single-flight deduplication of in-flight fetches: when several
 //     concurrent queries miss on the same vertex, exactly one RPC is issued
 //     and every query waits on the same Flight. The response populates the
 //     cache and resolves all waiters at once.
 //
-// The cache is shared by all queries of a machine (like the shard itself);
-// all methods are safe for concurrent use.
+// LRU is instantiated twice: Cache holds decoded neighbor rows and admits
+// every fetched row; FeatureCache holds feature rows and admits by PPR mass.
+// A cache is shared by all queries of a machine (like the shard itself); all
+// methods are safe for concurrent use.
 package cache
 
 import (
@@ -43,13 +44,59 @@ type Row struct {
 	WDeg float32
 }
 
-// rowOverhead approximates the fixed per-entry cost: the entry struct, the
-// map slot, and the four slice headers.
+// rowOverhead approximates a neighbor row's fixed per-entry cost: the entry
+// struct, the map slot, and the four slice headers.
 const rowOverhead = 96
 
 // Bytes returns the approximate memory footprint charged against the budget.
 func (r Row) Bytes() int64 {
 	return rowOverhead + int64(len(r.Locals))*16 // 2×int32 + 2×float32 per neighbor
+}
+
+// featRowOverhead is a feature row's fixed cost: entry, map slot, one header.
+const featRowOverhead = 64
+
+func featBytes(row []float32) int64 { return featRowOverhead + 4*int64(len(row)) }
+
+// Cache is the neighbor-row instantiation: every fetched row is admitted.
+type Cache = LRU[Row]
+
+// FeatureCache is the feature-row instantiation. Feature rows are fixed-size
+// and a serving workload's working set is the union of many top-K subgraphs,
+// so caching every fetched row would cycle the LRU with one-off cold
+// vertices. Following the probabilistic-caching idea of Kaler et al.
+// (communication-efficient GNN sampling), a fetched row is admitted only
+// when the PPR mass that requested it clears a threshold: hub vertices that
+// dominate many egos' top-K sets carry high mass and stick, long-tail rows
+// pass through without evicting them.
+type FeatureCache = LRU[[]float32]
+
+// New returns a neighbor-row cache bounded by maxBytes (split evenly across
+// the lock stripes). It returns nil when maxBytes <= 0, and a nil cache is
+// the "disabled" value callers test against.
+func New(maxBytes int64) *Cache {
+	return newLRU(maxBytes, rowOverhead, Row.Bytes, nil, counters{
+		hits: &metrics.CacheHits, misses: &metrics.CacheMisses, coalesced: &metrics.CacheCoalesced,
+		evictions: &metrics.CacheEvictions, bytes: &metrics.CacheBytes, entries: &metrics.CacheEntries,
+	})
+}
+
+// NewFeatures returns a feature-row cache bounded by maxBytes. Rows are
+// admitted only when the highest PPR mass among the queries that reserved
+// them reaches admitMass; 0 admits every row. nil when maxBytes <= 0.
+func NewFeatures(maxBytes int64, admitMass float64) *FeatureCache {
+	return newLRU(maxBytes, featRowOverhead, featBytes,
+		func(mass float64) bool { return mass >= admitMass }, counters{
+			hits: &metrics.FeatCacheHits, misses: &metrics.FeatCacheMisses, coalesced: &metrics.FeatCacheCoalesced,
+			evictions: &metrics.FeatCacheEvictions, rejected: &metrics.FeatCacheRejected,
+			bytes: &metrics.FeatCacheBytes, entries: &metrics.FeatCacheEntries,
+		})
+}
+
+// counters names the process-wide /metrics series one instantiation feeds.
+type counters struct {
+	hits, misses, coalesced, evictions, rejected *metrics.Counter
+	bytes, entries                               *metrics.Gauge
 }
 
 // numShards is the lock-striping factor. Addresses are packed
@@ -64,7 +111,7 @@ func pack(sh, local int32) uint64 {
 // mutation epoch the row was resolved at. Exact equality — never a hash — is
 // what guarantees an epoch-N row is invisible to an epoch-N+1 read. The
 // stripe is derived from the address alone, so every epoch of one vertex
-// lives on the one stripe StripeOf reports.
+// lives on one stripe.
 type ckey struct {
 	addr  uint64
 	epoch uint64
@@ -82,83 +129,72 @@ func mix(k uint64) uint64 {
 }
 
 // entry is one resident row in a stripe's LRU list (head = most recent).
-type entry struct {
+type entry[R any] struct {
 	key        ckey
-	row        Row
+	row        R
 	bytes      int64
-	prev, next *entry
+	prev, next *entry[R]
 }
 
-type stripe struct {
+type stripe[R any] struct {
 	mu      sync.Mutex
-	items   map[ckey]*entry
-	head    *entry
-	tail    *entry
+	items   map[ckey]*entry[R]
+	head    *entry[R]
+	tail    *entry[R]
 	bytes   int64
 	budget  int64
-	flights map[ckey]*Flight
+	flights map[ckey]*Flight[R]
 }
 
-// Cache is a sharded LRU of neighbor rows under a global byte budget, plus
-// the single-flight table for in-flight fetches.
-type Cache struct {
-	stripes [numShards]stripe
+// LRU is a sharded LRU of rows under a global byte budget, plus the
+// single-flight table for in-flight fetches. size and admit are fixed at
+// construction — they are what differs between the two instantiations.
+type LRU[R any] struct {
+	stripes [numShards]stripe[R]
+	size    func(R) int64
+	// admit decides, from the highest PPR mass among a flight's reservers,
+	// whether the fetched row is cached; nil admits every row.
+	admit func(mass float64) bool
+	ctr   counters
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	coalesced atomic.Int64
 	evictions atomic.Int64
+	rejected  atomic.Int64
 }
 
-// New returns a cache bounded by maxBytes (split evenly across the lock
-// stripes). It returns nil when maxBytes <= 0, and a nil *Cache is the
-// "disabled" value callers test against.
-func New(maxBytes int64) *Cache {
+func newLRU[R any](maxBytes, overhead int64, size func(R) int64, admit func(float64) bool, ctr counters) *LRU[R] {
 	if maxBytes <= 0 {
 		return nil
 	}
-	c := &Cache{}
+	c := &LRU[R]{size: size, admit: admit, ctr: ctr}
 	per := maxBytes / numShards
-	if per < rowOverhead {
-		per = rowOverhead // always admit at least one minimal row per stripe
+	if per < overhead {
+		per = overhead // always admit at least one minimal row per stripe
 	}
 	for i := range c.stripes {
-		c.stripes[i] = stripe{
-			items:   make(map[ckey]*entry),
+		c.stripes[i] = stripe[R]{
+			items:   make(map[ckey]*entry[R]),
 			budget:  per,
-			flights: make(map[ckey]*Flight),
+			flights: make(map[ckey]*Flight[R]),
 		}
 	}
 	return c
 }
 
-func (c *Cache) stripeFor(key ckey) *stripe {
+func (c *LRU[R]) stripeFor(key ckey) *stripe[R] {
 	return &c.stripes[mix(key.addr)&(numShards-1)]
 }
 
-// Stripes returns the lock-striping factor — the unit of ownership a
-// shard-affinity compute layer can partition cache work by (worker w owning
-// stripes s with s % workers == w, the rule of DESIGN.md §5j).
-func (c *Cache) Stripes() int { return numShards }
-
-// StripeOf returns the stripe index that owns (sh, local)'s entry — the same
-// derivation every internal path uses, exported so affinity workers can keep
-// their cache touches on owned stripes and avoid cross-worker lock traffic.
-func (c *Cache) StripeOf(sh, local int32) int {
-	return int(mix(pack(sh, local)) & (numShards - 1))
+// Get returns the row cached for (sh, local) at the base epoch, marking it
+// most recently used — a peek for probes and tests; the fetch chain enters
+// through GetOrReserveAt.
+func (c *LRU[R]) Get(sh, local int32) (R, bool) {
+	return c.get(ckey{addr: pack(sh, local)})
 }
 
-// Get returns the cached row for (sh, local) at epoch 0 — the static-graph
-// entry point, equivalent to GetAt with the base epoch.
-func (c *Cache) Get(sh, local int32) (Row, bool) {
-	return c.GetAt(sh, local, 0)
-}
-
-// GetAt returns the cached row for (sh, local) as resolved at the given
-// mutation epoch, marking it most recently used. Rows cached at any other
-// epoch never match.
-func (c *Cache) GetAt(sh, local int32, epoch uint64) (Row, bool) {
-	key := ckey{addr: pack(sh, local), epoch: epoch}
+func (c *LRU[R]) get(key ckey) (R, bool) {
 	s := c.stripeFor(key)
 	s.mu.Lock()
 	e, ok := s.items[key]
@@ -167,14 +203,23 @@ func (c *Cache) GetAt(sh, local int32, epoch uint64) (Row, bool) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		return Row{}, false
+		var zero R
+		return zero, false
 	}
 	c.hits.Add(1)
-	metrics.CacheHits.Inc(1)
+	c.ctr.hits.Inc(1)
 	return e.row, true
 }
 
-// GetOrReserve is the fetch-path entry point. It returns exactly one of:
+// GetOrReserve is GetOrReserveAt at the base epoch with no mass signal.
+func (c *LRU[R]) GetOrReserve(sh, local int32) (R, bool, *Flight[R], bool) {
+	return c.GetOrReserveAt(sh, local, 0, 0)
+}
+
+// GetOrReserveAt is the fetch-path entry point, keyed by (shard, local,
+// epoch): hits, flights, and fills are all epoch-exact, so a query pinned at
+// epoch N+1 can never be served — or coalesced onto — a row resolved at epoch
+// N. Epoch 0 is the static base graph. It returns exactly one of:
 //
 //   - a cache hit: (row, true, nil, false);
 //   - leadership of a new flight: (_, false, flight, true) — the caller MUST
@@ -182,15 +227,12 @@ func (c *Cache) GetAt(sh, local int32, epoch uint64) (Row, bool) {
 //     waiter can resolve it;
 //   - a coalesced wait on an existing flight: (_, false, flight, false) —
 //     the caller just Waits.
-func (c *Cache) GetOrReserve(sh, local int32) (Row, bool, *Flight, bool) {
-	return c.GetOrReserveAt(sh, local, 0)
-}
-
-// GetOrReserveAt is GetOrReserve keyed by (shard, local, epoch): hits,
-// flights, and fills are all epoch-exact, so a query pinned at epoch N+1 can
-// never be served — or coalesced onto — a row resolved at epoch N. Epoch 0 is
-// the static base graph (what GetOrReserve uses).
-func (c *Cache) GetOrReserveAt(sh, local int32, epoch uint64) (Row, bool, *Flight, bool) {
+//
+// mass is the requesting row's PPR mass; the flight remembers the highest
+// mass seen across all reservers and the admit predicate reads that maximum
+// at Fulfill time — a row two low-mass queries collide on may still earn its
+// slot from a third, high-mass one.
+func (c *LRU[R]) GetOrReserveAt(sh, local int32, epoch uint64, mass float64) (R, bool, *Flight[R], bool) {
 	key := ckey{addr: pack(sh, local), epoch: epoch}
 	s := c.stripeFor(key)
 	s.mu.Lock()
@@ -198,30 +240,35 @@ func (c *Cache) GetOrReserveAt(sh, local int32, epoch uint64) (Row, bool, *Fligh
 		s.moveToFront(e)
 		s.mu.Unlock()
 		c.hits.Add(1)
-		metrics.CacheHits.Inc(1)
+		c.ctr.hits.Inc(1)
 		return e.row, true, nil, false
 	}
+	var zero R // declared past the hit path, which must not pay for zeroing it
 	if f, ok := s.flights[key]; ok {
+		if mass > f.mass {
+			f.mass = mass // guarded by the stripe lock, like the table itself
+		}
 		s.mu.Unlock()
 		c.coalesced.Add(1)
-		metrics.CacheCoalesced.Inc(1)
-		return Row{}, false, f, false
+		c.ctr.coalesced.Inc(1)
+		return zero, false, f, false
 	}
-	f := &Flight{
+	f := &Flight[R]{
 		c:     c,
 		key:   key,
+		mass:  mass,
 		done:  make(chan struct{}),
 		ready: make(chan struct{}),
 	}
 	s.flights[key] = f
 	s.mu.Unlock()
 	c.misses.Add(1)
-	metrics.CacheMisses.Inc(1)
-	return Row{}, false, f, true
+	c.ctr.misses.Inc(1)
+	return zero, false, f, true
 }
 
 // moveToFront makes e the list head. Caller holds s.mu.
-func (s *stripe) moveToFront(e *entry) {
+func (s *stripe[R]) moveToFront(e *entry[R]) {
 	if s.head == e {
 		return
 	}
@@ -237,7 +284,7 @@ func (s *stripe) moveToFront(e *entry) {
 }
 
 // unlink removes e from the list. Caller holds s.mu.
-func (s *stripe) unlink(e *entry) {
+func (s *stripe[R]) unlink(e *entry[R]) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	}
@@ -255,8 +302,8 @@ func (s *stripe) unlink(e *entry) {
 
 // add inserts a row, evicting from the LRU tail until the stripe fits its
 // budget. Rows larger than the whole stripe budget are not admitted.
-func (c *Cache) add(key ckey, row Row) {
-	b := row.Bytes()
+func (c *LRU[R]) add(key ckey, row R) {
+	b := c.size(row)
 	s := c.stripeFor(key)
 	s.mu.Lock()
 	if _, dup := s.items[key]; dup {
@@ -278,44 +325,47 @@ func (c *Cache) add(key ckey, row Row) {
 		freed += victim.bytes
 		evicted++
 	}
-	e := &entry{key: key, row: row, bytes: b}
+	e := &entry[R]{key: key, row: row, bytes: b}
 	s.items[key] = e
 	s.moveToFront(e)
 	s.bytes += b
 	s.mu.Unlock()
 	if evicted > 0 {
 		c.evictions.Add(evicted)
-		metrics.CacheEvictions.Inc(evicted)
+		c.ctr.evictions.Inc(evicted)
 	}
 	// Process-wide occupancy gauges for the /metrics endpoint.
-	metrics.CacheBytes.Add(b - freed)
-	metrics.CacheEntries.Add(1 - evicted)
+	c.ctr.bytes.Add(b - freed)
+	c.ctr.entries.Add(1 - evicted)
 }
 
-// removeFlight deletes f from the flight table if it is still the registered
-// flight for its key (identity-compared, so a successor flight for the same
-// key is never removed by a stale completion).
-func (c *Cache) removeFlight(key ckey, f *Flight) {
-	s := c.stripeFor(key)
-	s.mu.Lock()
-	if cur, ok := s.flights[key]; ok && cur == f {
-		delete(s.flights, key)
-	}
-	s.mu.Unlock()
-}
-
-// Stats is a point-in-time snapshot of the cache counters.
+// Stats is a point-in-time snapshot of one cache's counters.
 type Stats struct {
 	Hits      int64 // rows served from the cache
 	Misses    int64 // rows that started a fetch (flight leaders)
 	Coalesced int64 // rows that piggybacked on another query's fetch
 	Evictions int64 // rows evicted to stay under the byte budget
+	Rejected  int64 // fetched rows the admit predicate declined to cache
 	Entries   int64 // resident rows
 	Bytes     int64 // resident bytes (approximate)
 }
 
+// FeatStats is the feature cache's snapshot — the same shape.
+type FeatStats = Stats
+
+// Add accumulates other into s.
+func (s *Stats) Add(other Stats) {
+	s.Hits += other.Hits
+	s.Misses += other.Misses
+	s.Coalesced += other.Coalesced
+	s.Evictions += other.Evictions
+	s.Rejected += other.Rejected
+	s.Entries += other.Entries
+	s.Bytes += other.Bytes
+}
+
 // Stats returns a snapshot. A nil cache reports zeros.
-func (c *Cache) Stats() Stats {
+func (c *LRU[R]) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
@@ -324,6 +374,7 @@ func (c *Cache) Stats() Stats {
 		Misses:    c.misses.Load(),
 		Coalesced: c.coalesced.Load(),
 		Evictions: c.evictions.Load(),
+		Rejected:  c.rejected.Load(),
 	}
 	for i := range c.stripes {
 		s := &c.stripes[i]
@@ -335,23 +386,51 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// Flight is one in-flight fetch of a single vertex row, shared by every
-// query that missed on the key while the fetch was pending.
+// Drain resolves every flight still in the table whose leader armed it
+// (AttachSource), blocking on each source: the machine calls it at shutdown,
+// after closing the transports so every source has fired, to hand back the
+// response buffers of fetches whose waiters all gave up. Nil-safe.
+func (c *LRU[R]) Drain() {
+	if c == nil {
+		return
+	}
+	for i := range c.stripes {
+		s := &c.stripes[i]
+		s.mu.Lock()
+		pending := make([]*Flight[R], 0, len(s.flights))
+		for _, f := range s.flights {
+			pending = append(pending, f)
+		}
+		s.mu.Unlock()
+		for _, f := range pending {
+			select {
+			case <-f.ready:
+				<-f.src
+				f.resolve()
+			default: // leader still between reserve and arm: its own wait resolves it
+			}
+		}
+	}
+}
+
+// Flight is one in-flight fetch of a single row, shared by every query that
+// missed on the key while the fetch was pending.
 //
-// Lifecycle: the leader (the caller GetOrReserve elected) issues the RPC and
-// calls AttachSource with the RPC future's done channel plus a resolve
+// Lifecycle: the leader (the caller GetOrReserveAt elected) issues the RPC
+// and calls AttachSource with the response's done channel plus a resolve
 // callback that decodes the response and Fulfills every flight of the
 // request group. Resolution can then be driven by ANY participant — leader
 // or waiter — whichever observes the response first, so a leader that
 // abandons its query (deadline, batch abort) never strands the waiters: the
 // next Wait resolves the group itself once the response arrives.
-type Flight struct {
-	c   *Cache
-	key ckey
+type Flight[R any] struct {
+	c    *LRU[R]
+	key  ckey
+	mass float64 // max PPR mass among reservers; stripe-lock guarded
 
 	once sync.Once
 	done chan struct{}
-	row  Row
+	row  R
 	err  error
 
 	ready   chan struct{} // closed by AttachSource
@@ -363,22 +442,45 @@ type Flight struct {
 // response (or failure) is available, and resolve — which must be safe to
 // call from multiple goroutines — turns it into Fulfill calls. Must be
 // called at most once, by the flight's leader.
-func (f *Flight) AttachSource(src <-chan struct{}, resolve func()) {
+func (f *Flight[R]) AttachSource(src <-chan struct{}, resolve func()) {
 	f.src = src
 	f.resolve = resolve
 	close(f.ready)
 }
 
-// Fulfill completes the flight: on success the row is inserted into the
-// cache, and in all cases the flight is removed from the in-flight table and
-// every waiter is released. Extra calls are no-ops.
-func (f *Flight) Fulfill(row Row, err error) {
+// Fulfill completes the flight: on success the row (which must be
+// cache-owned: copied out of the RPC response) is inserted into the cache
+// iff the admit predicate accepts the flight's highest requester mass; in
+// all cases the flight leaves the in-flight table and every waiter is
+// released. Extra calls are no-ops.
+func (f *Flight[R]) Fulfill(row R, err error) {
 	f.once.Do(func() {
-		if err == nil {
-			f.c.add(f.key, row)
+		c := f.c
+		s := c.stripeFor(f.key)
+		admitted := err == nil
+		if admitted && c.admit != nil {
+			s.mu.Lock()
+			mass := f.mass
+			s.mu.Unlock()
+			if admitted = c.admit(mass); !admitted {
+				c.rejected.Add(1)
+				c.ctr.rejected.Inc(1)
+			}
+		}
+		// Insert before leaving the flight table, so a concurrent reserver
+		// always finds the row or the flight — never a gap that would elect a
+		// second leader.
+		if admitted {
+			c.add(f.key, row)
 		}
 		f.row, f.err = row, err
-		f.c.removeFlight(f.key, f)
+		s.mu.Lock()
+		// Identity-compared, so a successor flight for the same key is never
+		// removed by a stale completion.
+		if s.flights[f.key] == f {
+			delete(s.flights, f.key)
+		}
+		s.mu.Unlock()
 		close(f.done)
 	})
 }
@@ -386,24 +488,24 @@ func (f *Flight) Fulfill(row Row, err error) {
 // Wait blocks until the flight resolves or ctx ends. A ctx expiry abandons
 // only this waiter; the flight itself stays pending for the others and still
 // populates the cache when the response arrives.
-func (f *Flight) Wait(ctx context.Context) (Row, error) {
+func (f *Flight[R]) Wait(ctx context.Context) (R, error) {
 	select {
 	case <-f.done:
 		return f.row, f.err
 	case <-ctx.Done():
-		return Row{}, ctx.Err()
 	case <-f.ready:
+		select {
+		case <-f.done:
+			return f.row, f.err
+		case <-ctx.Done():
+		case <-f.src:
+			// The response is in; resolve the group ourselves (idempotent) so
+			// no waiter depends on the leader still being around.
+			f.resolve()
+			<-f.done
+			return f.row, f.err
+		}
 	}
-	select {
-	case <-f.done:
-		return f.row, f.err
-	case <-ctx.Done():
-		return Row{}, ctx.Err()
-	case <-f.src:
-		// The response is in; resolve the group ourselves (idempotent) so
-		// no waiter depends on the leader still being around.
-		f.resolve()
-		<-f.done
-		return f.row, f.err
-	}
+	var zero R
+	return zero, ctx.Err()
 }

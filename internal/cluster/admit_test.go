@@ -54,7 +54,7 @@ func TestHedgeSlowReplicaDeterministic(t *testing.T) {
 	}
 	defer c.Close()
 	for m := 0; m < 4; m++ {
-		if c.Hedgers[m] == nil {
+		if c.Machines[m].Hedger == nil {
 			t.Fatalf("machine %d has no hedger although Hedge was requested", m)
 		}
 	}
@@ -101,7 +101,7 @@ func TestAdmissionShedsAtClusterLevel(t *testing.T) {
 	}
 	defer c.Close()
 	for m := 0; m < 2; m++ {
-		if c.Admits[m] == nil {
+		if c.Machines[m].Admit == nil {
 			t.Fatalf("machine %d has no admission controller", m)
 		}
 	}

@@ -29,7 +29,7 @@ import (
 	"pprengine/internal/partition"
 	"pprengine/internal/rpc"
 	"pprengine/internal/shard"
-	"pprengine/internal/wire"
+	"pprengine/internal/stack"
 )
 
 // PartitionKind selects the partitioning algorithm used at preprocessing.
@@ -56,32 +56,14 @@ type Options struct {
 	// each shard also stores the neighbor rows of its 1-hop halo nodes,
 	// trading memory for less RPC traffic.
 	CacheHaloRows bool
-	// CacheBytes, when > 0, gives every machine a dynamic neighbor-row
-	// cache of that byte budget (internal/cache), shared by all of the
-	// machine's compute processes: repeated remote fetches hit shared
-	// memory and concurrent fetches of one vertex coalesce into one RPC.
-	CacheBytes int64
-	// AggWindow / AggRows, when either is > 0, give every machine a
-	// per-destination-shard cross-query fetch aggregator (internal/agg),
-	// shared by all of the machine's compute processes: concurrent queries'
-	// remote fetches to one shard merge into one wire request. AggWindow
-	// bounds how long a batch waits behind an in-flight flush; AggRows caps
-	// a merged request's rows. Zero/zero (the default) disables aggregation.
-	AggWindow time.Duration
-	AggRows   int
-	// ZeroCopy makes each machine's fetch aggregators decode flush responses
-	// as views over the pooled payload (agg.Options.ZeroCopy). It governs the
-	// machine-shared aggregators only; the per-query fetch paths follow
-	// core.Config.ZeroCopy. Set both for a fully zero-copy hot path.
-	ZeroCopy bool
-	// FeatCacheBytes, when > 0, gives every machine a feature-row cache of
-	// that byte budget (cache.FeatureCache) shared by its compute processes,
-	// backing the GNN serving path: repeated feature fetches of hot vertices
-	// hit shared memory and concurrent fetches of one row coalesce into one
-	// RPC. FeatAdmitMass is its admission threshold — a fetched row is
-	// cached only when the highest PPR mass among requesting queries reaches
-	// it (0 admits every row). Feature-fetch aggregation piggybacks on
-	// AggWindow/AggRows.
+	// The per-machine stack knobs, handed to every machine's stack.Build as
+	// its stack.Config (which documents each): the neighbor-row cache budget,
+	// the aggregator window and row cap, view decoding of merged flushes, and
+	// the feature-row cache budget and admission threshold.
+	CacheBytes     int64
+	AggWindow      time.Duration
+	AggRows        int
+	ZeroCopy       bool
 	FeatCacheBytes int64
 	FeatAdmitMass  float64
 	Seed           int64
@@ -108,23 +90,14 @@ type Options struct {
 	// can kill, blackhole, drop, or delay individual machines.
 	Chaos *chaos.Injector
 
-	// AdmitMaxInFlight, when > 0, gives every machine an admission
-	// controller (internal/admit) shared by its compute processes: at most
-	// that many queries execute concurrently, AdmitMaxQueue more wait in a
-	// priority queue, and the rest are shed early with a typed error.
-	// AdmitTenantRate/AdmitTenantBurst configure the per-tenant token
-	// buckets (0 disables quotas). 0 disables admission control entirely.
+	// More of stack.Config: admission control (0 in-flight = off) and hedged
+	// remote requests (ignored when Replicas < 2).
 	AdmitMaxInFlight int
 	AdmitMaxQueue    int
 	AdmitTenantRate  float64
 	AdmitTenantBurst float64
-	// Hedge, with replication on, gives every machine a hedged remote-fetch
-	// layer (admit.Hedger) over its replica router: a fetch whose primary
-	// outlives the hedge delay is duplicated to a healthy replica and the
-	// first response wins. HedgeDelay fixes the delay; 0 adapts it to the
-	// observed per-shard p95. Ignored when Replicas < 2.
-	Hedge      bool
-	HedgeDelay time.Duration
+	Hedge            bool
+	HedgeDelay       time.Duration
 
 	// Mutable gives every machine a delta-CSR mutation store (internal/delta)
 	// shared by its primary server, hosted replica servers, and compute
@@ -153,19 +126,17 @@ type Options struct {
 	TraceBuf    int
 }
 
-// aggEnabled reports whether the options ask for fetch aggregation.
-func (o Options) aggEnabled() bool { return o.AggWindow > 0 || o.AggRows > 0 }
-
 // haEnabled reports whether the options ask for shard replication.
 func (o Options) haEnabled() bool { return o.Replicas >= 2 }
 
-// haOptions translates the cluster knobs to the ha layer's.
-func (o Options) haOptions() ha.Options {
-	return ha.Options{
-		ProbeInterval:    o.ProbeInterval,
-		ProbeTimeout:     o.ProbeTimeout,
-		BreakerThreshold: o.BreakerThreshold,
-		AttemptTimeout:   o.FailoverTimeout,
+// machineConfig is the per-machine stack configuration the options describe.
+func (o Options) machineConfig() stack.Config {
+	return stack.Config{
+		CacheBytes: o.CacheBytes, AggWindow: o.AggWindow, AggRows: o.AggRows, ZeroCopy: o.ZeroCopy,
+		FeatCacheBytes: o.FeatCacheBytes, FeatAdmitMass: o.FeatAdmitMass,
+		AdmitMaxInFlight: o.AdmitMaxInFlight, AdmitMaxQueue: o.AdmitMaxQueue,
+		AdmitTenantRate: o.AdmitTenantRate, AdmitTenantBurst: o.AdmitTenantBurst,
+		Hedge: o.Hedge, HedgeDelay: o.HedgeDelay,
 	}
 }
 
@@ -178,18 +149,11 @@ type Cluster struct {
 	Addrs    []string
 	Quality  partition.Quality
 	Storages [][]*core.DistGraphStorage // [machine][proc]
-	// Caches holds the per-machine dynamic neighbor-row caches (nil entries
-	// when Opts.CacheBytes is 0).
-	Caches []*cache.Cache
-	// Aggs holds each machine's shard-indexed fetch aggregators (nil when
-	// aggregation is off). Like Caches, one slice per machine is shared by
-	// all of its compute processes, so aggregation works across processes.
-	Aggs [][]*agg.Aggregator
-	// FeatCaches / FeatAggs are the feature tier's machine-shared analogues
-	// of Caches / Aggs (nil entries when Opts.FeatCacheBytes is 0 /
-	// aggregation is off).
-	FeatCaches []*cache.FeatureCache
-	FeatAggs   [][]*agg.FeatureAggregator
+	// Machines[m] is machine m's assembled fetch stack (stack.Build): the
+	// caches, aggregators, replica router, hedger and admission controller
+	// its compute processes Storages[m] share, nil where Opts left a stage
+	// out.
+	Machines []*stack.Machine
 
 	// Replication state (all nil/empty when Opts.Replicas < 2). Servers and
 	// Addrs above keep their per-shard primary meaning; the extra serving
@@ -198,18 +162,6 @@ type Cluster struct {
 	// ReplicaServers[m] lists the StorageServers machine m runs for shards
 	// it replicates (in Placement.HostedReplicas(m) order).
 	ReplicaServers [][]*core.StorageServer
-	// Routers[m] / Trackers[m] are machine m's failover router and health
-	// tracker, shared by all of its compute processes.
-	Routers  []*ha.ReplicaRouter
-	Trackers []*ha.HealthTracker
-
-	// Admits[m] is machine m's admission controller (nil entries when
-	// Opts.AdmitMaxInFlight is 0), shared by all of its compute processes so
-	// the concurrency cap and tenant buckets are machine-wide, like the
-	// cache. Hedgers[m] is its hedged-fetch layer (nil unless Opts.Hedge and
-	// replication are both on).
-	Admits  []*admit.Controller
-	Hedgers []*admit.Hedger
 
 	// Deltas[m] is machine m's delta-CSR mutation store (nil entries unless
 	// Opts.Mutable), shared by its primary server, hosted replica servers,
@@ -225,9 +177,8 @@ type Cluster struct {
 	// machine's processes would get from a node-local trace agent.
 	Tracers []*obs.Tracer
 
-	clients      []*rpc.Client  // all direct clients, for Close and NetStats
-	endpoints    []*ha.Endpoint // all router endpoints, for NetStats
-	compactStops []func()       // background compactor stops, for Close
+	mirrors      []*rpc.Client // the coordinator's clients, for Close and NetStats
+	compactStops []func()      // background compactor stops, for Close
 	mu           sync.Mutex
 }
 
@@ -343,122 +294,46 @@ func NewFromShards(shards []*shard.Shard, loc *shard.Locator, opts Options, qual
 		}
 	}
 	// Connect compute processes: every process owns clients to all remote
-	// machines (the paper registers each process in the RPC group).
+	// machines (the paper registers each process in the RPC group), and the
+	// machine's stack is assembled over them.
 	c.Storages = make([][]*core.DistGraphStorage, opts.NumMachines)
-	c.Caches = make([]*cache.Cache, opts.NumMachines)
-	c.Aggs = make([][]*agg.Aggregator, opts.NumMachines)
-	c.FeatCaches = make([]*cache.FeatureCache, opts.NumMachines)
-	c.FeatAggs = make([][]*agg.FeatureAggregator, opts.NumMachines)
-	c.Routers = make([]*ha.ReplicaRouter, opts.NumMachines)
-	c.Trackers = make([]*ha.HealthTracker, opts.NumMachines)
-	c.Admits = make([]*admit.Controller, opts.NumMachines)
-	c.Hedgers = make([]*admit.Hedger, opts.NumMachines)
+	c.Machines = make([]*stack.Machine, opts.NumMachines)
 	for m := 0; m < opts.NumMachines; m++ {
-		if opts.CacheBytes > 0 {
-			// One cache per machine, shared by all its compute processes —
-			// like the shard, it is machine-level shared memory.
-			c.Caches[m] = cache.New(opts.CacheBytes)
+		spec := stack.Spec{
+			Local: shards[m], Locator: loc, Tracer: c.Tracers[m], Latency: opts.Latency,
+			Clients: make([][]*rpc.Client, opts.ProcsPerMachine),
 		}
-		// The feature cache is machine-shared for the same reason.
-		c.FeatCaches[m] = cache.NewFeatures(opts.FeatCacheBytes, opts.FeatAdmitMass)
+		if c.Deltas != nil {
+			spec.Delta = c.Deltas[m]
+		}
 		if opts.haEnabled() {
-			c.buildRouter(m, servingAddrs)
-			if opts.Hedge {
-				c.Hedgers[m] = admit.NewHedger(c.Routers[m], admit.HedgeOptions{
-					Delay:  opts.HedgeDelay,
-					Tracer: c.Tracers[m],
-				})
+			// Endpoints are keyed by hosting machine, so one dead machine
+			// opens one breaker covering all shards it serves.
+			spec.HA = ha.Options{
+				ProbeInterval: opts.ProbeInterval, ProbeTimeout: opts.ProbeTimeout,
+				BreakerThreshold: opts.BreakerThreshold, AttemptTimeout: opts.FailoverTimeout,
+			}
+			spec.Serving = make([][]stack.Peer, opts.NumMachines)
+			for s := range spec.Serving {
+				for i, host := range c.Placement.Machines(s) {
+					spec.Serving[s] = append(spec.Serving[s], stack.Peer{Machine: host, Addr: servingAddrs[s][i], Key: fmt.Sprintf("m%d", host)})
+				}
 			}
 		}
-		if opts.AdmitMaxInFlight > 0 {
-			// Admission is machine-level for the same reason as the cache:
-			// the concurrency cap models the machine's capacity, so every
-			// compute process must draw from the same slot pool.
-			c.Admits[m] = admit.NewController(admit.Options{
-				MaxInFlight: opts.AdmitMaxInFlight,
-				MaxQueue:    opts.AdmitMaxQueue,
-				TenantRate:  opts.AdmitTenantRate,
-				TenantBurst: opts.AdmitTenantBurst,
-			})
-			if c.Deltas != nil {
-				// Admitted queries pin their mutation epoch at grant time, so
-				// a query queued behind a burst still reads the snapshot it
-				// was admitted under.
-				c.Admits[m].SetEpochSource(c.Deltas[m].PinCurrent, c.Deltas[m].Unpin)
+		var dialErr error
+		for p := range spec.Clients {
+			spec.Clients[p] = make([]*rpc.Client, opts.NumMachines)
+			for j := 0; j < opts.NumMachines && dialErr == nil; j++ {
+				if j != m {
+					spec.Clients[p][j], dialErr = rpc.Dial(c.Addrs[j], opts.Latency)
+				}
 			}
 		}
-		c.Storages[m] = make([]*core.DistGraphStorage, opts.ProcsPerMachine)
-		for p := 0; p < opts.ProcsPerMachine; p++ {
-			clients := make([]*rpc.Client, opts.NumMachines)
-			for j := 0; j < opts.NumMachines; j++ {
-				if j == m {
-					continue
-				}
-				cl, err := rpc.Dial(c.Addrs[j], opts.Latency)
-				if err != nil {
-					c.Close()
-					return nil, err
-				}
-				clients[j] = cl
-				c.clients = append(c.clients, cl)
-			}
-			c.Storages[m][p] = core.NewDistGraphStorage(int32(m), shards[m], loc, clients)
-			if c.Tracers[m] != nil {
-				c.Storages[m][p].AttachTracer(c.Tracers[m])
-			}
-			if c.Caches[m] != nil {
-				c.Storages[m][p].AttachCache(c.Caches[m])
-			}
-			if c.FeatCaches[m] != nil {
-				c.Storages[m][p].AttachFeatureCache(c.FeatCaches[m])
-			}
-			if c.Routers[m] != nil {
-				c.Storages[m][p].AttachRouter(c.Routers[m])
-			}
-			if c.Hedgers[m] != nil {
-				c.Storages[m][p].AttachHedger(c.Hedgers[m])
-			}
-			if c.Admits[m] != nil {
-				c.Storages[m][p].AttachAdmission(c.Admits[m])
-			}
-			if c.Deltas != nil {
-				c.Storages[m][p].AttachDelta(c.Deltas[m])
-			}
-			if opts.aggEnabled() && p == 0 {
-				// One aggregator per (machine, destination shard), shared by
-				// every process of the machine: all of a machine's traffic to
-				// a shard funnels through one coalescing point, like the
-				// cache. With replication on, flushes go through the router so
-				// a merged request fails over as a unit; otherwise they use
-				// the first process's clients (agg.New is nil for the nil
-				// local client).
-				aopts := agg.Options{Window: opts.AggWindow, MaxRows: opts.AggRows, ZeroCopy: opts.ZeroCopy, Tracer: c.Tracers[m]}
-				if c.Hedgers[m] != nil {
-					// Aggregated flushes hedge as a unit: the merged request
-					// goes through the hedger so a slow primary costs one
-					// duplicate wire request, not one per coalesced query.
-					c.Aggs[m] = core.HedgedAggregators(c.Hedgers[m], int32(opts.NumMachines), int32(m), aopts)
-					c.FeatAggs[m] = core.HedgedFeatureAggregators(c.Hedgers[m], int32(opts.NumMachines), int32(m), aopts)
-				} else if c.Routers[m] != nil {
-					c.Aggs[m] = core.RoutedAggregators(c.Routers[m], int32(opts.NumMachines), int32(m), aopts)
-					c.FeatAggs[m] = core.RoutedFeatureAggregators(c.Routers[m], int32(opts.NumMachines), int32(m), aopts)
-				} else {
-					aggs := make([]*agg.Aggregator, opts.NumMachines)
-					faggs := make([]*agg.FeatureAggregator, opts.NumMachines)
-					for j, cl := range clients {
-						aggs[j] = agg.New(cl, aopts)
-						faggs[j] = agg.NewFeature(cl, aopts)
-					}
-					c.Aggs[m] = aggs
-					c.FeatAggs[m] = faggs
-				}
-			}
-			if c.Aggs[m] != nil {
-				c.Storages[m][p].AttachAggregators(c.Aggs[m])
-			}
-			if c.FeatAggs[m] != nil {
-				c.Storages[m][p].AttachFeatureAggregators(c.FeatAggs[m])
-			}
+		c.Machines[m] = stack.Build(opts.machineConfig(), spec)
+		c.Storages[m] = c.Machines[m].Handles
+		if dialErr != nil {
+			c.Close()
+			return nil, dialErr
 		}
 	}
 	if opts.Mutable {
@@ -472,59 +347,17 @@ func NewFromShards(shards []*shard.Shard, loc *shard.Locator, opts Options, qual
 
 // buildCoordinator wires the cluster's single mutation coordinator over
 // machine 0's delta store, with dedicated RPC clients to every machine's
-// primary endpoint: one applier per machine (its store covers every shard
-// the machine serves, replicas included), and a row fetcher for resolving
-// mutations whose source shard machine 0 does not base. Machine 0's own
-// applier loops back over RPC; its store dedups the batch by epoch, so the
-// delivery path is exercised uniformly.
+// primary endpoint. Machine 0's own applier loops back over RPC; its store
+// dedups the batch by epoch, so the delivery path is exercised uniformly.
 func (c *Cluster) buildCoordinator() error {
-	k := c.Opts.NumMachines
-	mirrors := make([]*rpc.Client, k)
-	for j := 0; j < k; j++ {
-		cl, err := rpc.Dial(c.Addrs[j], c.Opts.Latency)
+	for _, addr := range c.Addrs {
+		cl, err := rpc.Dial(addr, c.Opts.Latency)
 		if err != nil {
 			return err
 		}
-		mirrors[j] = cl
-		c.mu.Lock()
-		c.clients = append(c.clients, cl)
-		c.mu.Unlock()
+		c.mirrors = append(c.mirrors, cl)
 	}
-	appliers := make([]delta.Applier, k)
-	for j := 0; j < k; j++ {
-		cl := mirrors[j]
-		appliers[j] = func(ctx context.Context, payload []byte) error {
-			resp, err := cl.SyncCallCtx(ctx, rpc.MethodApplyMutations, payload)
-			if err != nil {
-				return err
-			}
-			_, err = wire.DecodeMutationAck(resp)
-			return err
-		}
-	}
-	fetch := func(ctx context.Context, sh, local int32, epoch uint64) (delta.RemoteRow, error) {
-		// Shard s is primaried on machine s; its primary's store bases it.
-		resp, err := mirrors[sh].SyncCallCtx(ctx, rpc.MethodGetNeighborInfosAt,
-			wire.EncodeIDListAt(epoch, []int32{local}))
-		if err != nil {
-			return delta.RemoteRow{}, err
-		}
-		infos, err := wire.DecodeCSR(resp)
-		if err != nil {
-			return delta.RemoteRow{}, err
-		}
-		if infos.NumRows() != 1 {
-			return delta.RemoteRow{}, fmt.Errorf("cluster: row fetch returned %d rows, want 1", infos.NumRows())
-		}
-		locals, shards, weights, _ := infos.Row(0)
-		return delta.RemoteRow{
-			Locals:  locals,
-			Shards:  shards,
-			Weights: weights,
-			WDeg:    infos.RowWDeg[0],
-		}, nil
-	}
-	c.Coord = delta.NewCoordinator(c.Deltas[0], appliers, fetch)
+	c.Coord = stack.NewCoordinator(c.Deltas[0], c.mirrors)
 	return nil
 }
 
@@ -608,31 +441,6 @@ func (c *Cluster) startReplicas(servingAddrs [][]string) error {
 	return nil
 }
 
-// buildRouter assembles machine m's health tracker and replica router over
-// every remote shard's serving endpoints. Endpoints are keyed by hosting
-// machine, so one dead machine opens one breaker covering all shards it
-// serves, and starts background probing.
-func (c *Cluster) buildRouter(m int, servingAddrs [][]string) {
-	hopts := c.Opts.haOptions()
-	hopts.Tracer = c.Tracers[m]
-	tr := ha.NewHealthTracker(hopts)
-	eps := make([][]*ha.Endpoint, c.Opts.NumMachines)
-	for s := 0; s < c.Opts.NumMachines; s++ {
-		if s == m {
-			continue // local shard: shared memory, never routed
-		}
-		for i, host := range c.Placement.Machines(s) {
-			ep := ha.NewEndpoint(host, int32(s), servingAddrs[s][i], fmt.Sprintf("m%d", host), c.Opts.Latency)
-			eps[s] = append(eps[s], ep)
-			tr.Register(ep)
-			c.endpoints = append(c.endpoints, ep)
-		}
-	}
-	tr.Start()
-	c.Trackers[m] = tr
-	c.Routers[m] = ha.NewReplicaRouter(tr, eps, hopts)
-}
-
 // Spans gathers every machine's recorded spans into one slice — the
 // cluster-wide trace view a collector would assemble from the per-machine
 // ring buffers. Empty when tracing is off.
@@ -662,16 +470,22 @@ func (c *Cluster) NetStats() NetStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n NetStats
-	for _, cl := range c.clients {
-		n.RequestsSent += cl.RequestsSent.Load()
-		n.BytesSent += cl.BytesSent.Load()
-		n.BytesReceived += cl.BytesReceived.Load()
-	}
-	for _, ep := range c.endpoints {
-		reqs, sent, recv := ep.NetStats()
+	add := func(reqs, sent, recv int64) {
 		n.RequestsSent += reqs
 		n.BytesSent += sent
 		n.BytesReceived += recv
+	}
+	clients := c.mirrors
+	for _, m := range c.Machines {
+		clients = append(clients[:len(clients):len(clients)], m.Clients()...)
+		for _, ep := range m.Endpoints() {
+			add(ep.NetStats())
+		}
+	}
+	for _, cl := range clients {
+		if cl != nil {
+			add(cl.RequestsSent.Load(), cl.BytesSent.Load(), cl.BytesReceived.Load())
+		}
 	}
 	return n
 }
@@ -680,8 +494,8 @@ func (c *Cluster) NetStats() NetStats {
 // replication is disabled).
 func (c *Cluster) HAStats() ha.Stats {
 	var s ha.Stats
-	for _, r := range c.Routers {
-		s.Add(r.Stats()) // nil-safe
+	for _, m := range c.Machines {
+		s.Add(m.Router.Stats()) // nil-safe
 	}
 	return s
 }
@@ -690,8 +504,8 @@ func (c *Cluster) HAStats() ha.Stats {
 // admission control is disabled).
 func (c *Cluster) AdmitStats() admit.Snapshot {
 	var s admit.Snapshot
-	for _, a := range c.Admits {
-		s.Add(a.Snapshot()) // nil-safe
+	for _, m := range c.Machines {
+		s.Add(m.Admit.Snapshot()) // nil-safe
 	}
 	return s
 }
@@ -700,8 +514,8 @@ func (c *Cluster) AdmitStats() admit.Snapshot {
 // hedging is disabled).
 func (c *Cluster) HedgeStats() admit.HedgeStats {
 	var s admit.HedgeStats
-	for _, h := range c.Hedgers {
-		s.Add(h.Stats()) // nil-safe
+	for _, m := range c.Machines {
+		s.Add(m.Hedger.Stats()) // nil-safe
 	}
 	return s
 }
@@ -710,27 +524,8 @@ func (c *Cluster) HedgeStats() admit.HedgeStats {
 // the cache is disabled).
 func (c *Cluster) CacheStats() cache.Stats {
 	var s cache.Stats
-	for _, ch := range c.Caches {
-		cs := ch.Stats() // nil-safe
-		s.Hits += cs.Hits
-		s.Misses += cs.Misses
-		s.Coalesced += cs.Coalesced
-		s.Evictions += cs.Evictions
-		s.Entries += cs.Entries
-		s.Bytes += cs.Bytes
-	}
-	return s
-}
-
-// AggStats sums the per-machine fetch-aggregator counters (zero value when
-// aggregation is disabled).
-func (c *Cluster) AggStats() agg.Stats {
-	var s agg.Stats
-	for _, machine := range c.Aggs {
-		for _, a := range machine {
-			st := a.Stats() // nil-safe
-			s.Add(st)
-		}
+	for _, m := range c.Machines {
+		s.Add(m.Cache.Stats()) // nil-safe
 	}
 	return s
 }
@@ -739,26 +534,38 @@ func (c *Cluster) AggStats() agg.Stats {
 // when the feature cache is disabled).
 func (c *Cluster) FeatCacheStats() cache.FeatStats {
 	var s cache.FeatStats
-	for _, fc := range c.FeatCaches {
-		s.Add(fc.Stats()) // nil-safe
+	for _, m := range c.Machines {
+		s.Add(m.FeatCache.Stats()) // nil-safe
 	}
 	return s
 }
 
-// FeatAggStats sums the per-machine feature-fetch-aggregator counters (zero
+// AggStats sums the per-machine neighbor-fetch aggregator counters (zero
 // value when aggregation is disabled).
-func (c *Cluster) FeatAggStats() agg.Stats {
+func (c *Cluster) AggStats() agg.Stats {
 	var s agg.Stats
-	for _, machine := range c.FeatAggs {
-		for _, a := range machine {
+	for _, m := range c.Machines {
+		for _, a := range m.Aggs {
 			s.Add(a.Stats()) // nil-safe
 		}
 	}
 	return s
 }
 
-// Close shuts down all clients and servers, stopping the health probe loops
-// and replica servers first.
+// FeatAggStats sums the per-machine feature-fetch aggregator counters.
+func (c *Cluster) FeatAggStats() agg.Stats {
+	var s agg.Stats
+	for _, m := range c.Machines {
+		for _, a := range m.FeatAggs {
+			s.Add(a.Stats()) // nil-safe
+		}
+	}
+	return s
+}
+
+// Close shuts the deployment down: compactors, then every machine's stack
+// (stack.Machine.Close drains what it drew from the frame pool), then the
+// replica and primary servers.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -766,23 +573,14 @@ func (c *Cluster) Close() {
 		stop()
 	}
 	c.compactStops = nil
-	for _, tr := range c.Trackers {
-		if tr != nil {
-			tr.Stop()
-		}
-	}
-	c.Trackers = nil
-	for _, r := range c.Routers {
-		if r != nil {
-			r.Close()
-		}
-	}
-	c.Routers = nil
-	c.endpoints = nil
-	for _, cl := range c.clients {
+	for _, cl := range c.mirrors {
 		cl.Close()
 	}
-	c.clients = nil
+	for _, m := range c.Machines {
+		if m != nil {
+			m.Close()
+		}
+	}
 	for _, machine := range c.ReplicaServers {
 		for _, s := range machine {
 			s.Close()

@@ -114,14 +114,14 @@ func TestReplicatedClusterBasics(t *testing.T) {
 		t.Fatalf("%d replica servers, want 4 (one extra copy per shard)", replicaServers)
 	}
 	for m := 0; m < 4; m++ {
-		if c.Routers[m] == nil || c.Trackers[m] == nil {
+		if c.Machines[m].Router == nil || c.Machines[m].Tracker == nil {
 			t.Fatalf("machine %d missing router/tracker", m)
 		}
 		for s := int32(0); s < 4; s++ {
 			if int(s) == m {
 				continue
 			}
-			if eps := c.Routers[m].Endpoints(s); len(eps) != 2 {
+			if eps := c.Machines[m].Router.Endpoints(s); len(eps) != 2 {
 				t.Fatalf("machine %d shard %d: %d endpoints, want 2", m, s, len(eps))
 			}
 		}
@@ -209,7 +209,7 @@ func TestFailoverKillMidStream(t *testing.T) {
 			if m == victim {
 				continue
 			}
-			if c.Trackers[m].State("m1") != ha.BreakerClosed {
+			if c.Machines[m].Tracker.State("m1") != ha.BreakerClosed {
 				closed = false
 			}
 		}
@@ -219,7 +219,7 @@ func TestFailoverKillMidStream(t *testing.T) {
 		if time.Now().After(deadline) {
 			for m := 0; m < 4; m++ {
 				if m != victim {
-					t.Logf("machine %d sees m1 as %v", m, c.Trackers[m].State("m1"))
+					t.Logf("machine %d sees m1 as %v", m, c.Machines[m].Tracker.State("m1"))
 				}
 			}
 			t.Fatal("breakers never closed after revival")
@@ -229,12 +229,12 @@ func TestFailoverKillMidStream(t *testing.T) {
 
 	// Traffic returns to the revived primary: a routed request from machine 0
 	// to shard 1 lands on machine 1's endpoint, with no new failover.
-	primary := c.Routers[0].Endpoints(victim)[0]
+	primary := c.Machines[0].Router.Endpoints(victim)[0]
 	if primary.Machine != victim {
 		t.Fatalf("endpoint 0 of shard 1 is machine %d, want %d", primary.Machine, victim)
 	}
 	reqsBefore, _, _ := primary.NetStats()
-	failoversBefore := c.Routers[0].Failovers()
+	failoversBefore := c.Machines[0].Router.Failovers()
 	if _, err := c.Storages[0][0].GetShardStats(victim); err != nil {
 		t.Fatalf("routed request after recovery failed: %v", err)
 	}
@@ -242,7 +242,7 @@ func TestFailoverKillMidStream(t *testing.T) {
 	if reqsAfter <= reqsBefore {
 		t.Fatal("recovered primary received no traffic")
 	}
-	if c.Routers[0].Failovers() != failoversBefore {
+	if c.Machines[0].Router.Failovers() != failoversBefore {
 		t.Fatal("request after recovery should not fail over")
 	}
 }

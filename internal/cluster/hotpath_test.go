@@ -51,7 +51,6 @@ func TestZeroCopyPoisonedScoresIdentical(t *testing.T) {
 		t.Helper()
 		passCfg := cfg
 		passCfg.ZeroCopy = zeroCopy
-		passCfg.CacheBytes = cacheBytes
 		opts := Options{
 			NumMachines:     machines,
 			ProcsPerMachine: procs,

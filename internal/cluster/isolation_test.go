@@ -6,91 +6,45 @@ import (
 	"testing"
 	"time"
 
+	"pprengine/internal/chaos"
 	"pprengine/internal/core"
-	"pprengine/internal/rpc"
-	"pprengine/internal/wire"
 )
 
-// slowShard makes machine m's neighbor-info handlers sleep for d before
-// answering — one misbehaving storage server in an otherwise healthy
-// cluster.
-func slowShard(c *Cluster, m int, d time.Duration) {
-	sh := c.Shards[m]
-	slow := func(encode func(*wire.NeighborInfos) []byte) rpc.Handler {
-		return func(p []byte) ([]byte, error) {
-			time.Sleep(d)
-			ids, err := wire.DecodeIDList(p)
-			if err != nil {
-				return nil, err
-			}
-			infos, err := core.BuildInfos(sh, ids)
-			if err != nil {
-				return nil, err
-			}
-			return encode(infos), nil
-		}
-	}
-	c.Servers[m].Handle(rpc.MethodGetNeighborInfos, slow(wire.EncodeCSR))
-	c.Servers[m].Handle(rpc.MethodGetNeighborInfosLoL, slow(wire.EncodeLoL))
-	c.Servers[m].Handle(rpc.MethodGetNeighborInfoOne, slow(wire.EncodeLoL))
-}
-
-// TestBatchTimeoutIsolation is the issue's isolation scenario: one shard's
-// storage server answers far slower than the per-query deadline, so every
-// query that needs it times out — while queries on the other machine, which
-// never touch the slow shard remotely, complete normally. One query's
-// timeout must not abort the batch.
+// TestBatchTimeoutIsolation is the isolation scenario: one machine's storage
+// server stops answering (a chaos blackhole: its connections hang, they do
+// not fail), so every query that needs its shard runs into the per-query
+// deadline — while queries on that machine itself, which read its shard
+// through shared memory and only fetch from the healthy peer, complete
+// normally. One query's timeout must not abort the batch. The deadline only
+// bounds how long the stuck queries take to give up; nothing here depends on
+// how fast the healthy ones run.
 func TestBatchTimeoutIsolation(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		mode    core.FetchMode
-		eps     float64
-		timeout time.Duration
-	}{
-		{"compress", core.FetchBatchCompress, 1e-7, 50 * time.Millisecond},
-		{"batch", core.FetchBatch, 1e-7, 50 * time.Millisecond},
-		// The Single ablation pays one round trip per vertex, so even the
-		// healthy machine needs real time; its deadline is looser but still
-		// well under the slow shard's delay.
-		{"single", core.FetchSingle, 1e-5, 150 * time.Millisecond},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			g := testGraph(11, 300, 1800)
-			c, err := New(g, Options{NumMachines: 2, ProcsPerMachine: 1, Seed: 1})
+	for _, mode := range []core.FetchMode{core.FetchBatchCompress, core.FetchBatch, core.FetchSingle} {
+		mode := mode
+		t.Run(mode.String(), func(t *testing.T) {
+			t.Parallel()
+			inj := chaos.New(1)
+			inj.SetPlan(1, chaos.Plan{Blackhole: true})
+			c, err := New(testGraph(11, 300, 1800), Options{NumMachines: 2, ProcsPerMachine: 1, Seed: 1, Chaos: inj})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			// Machine 1 answers neighbor fetches after 300ms — far past the
-			// 50ms query deadline. Machine 1's own queries read shard 1
-			// through shared memory and only fetch from (healthy) shard 0.
-			slowShard(c, 1, 300*time.Millisecond)
+			inj.Kill(1)
 
 			cfg := core.DefaultConfig()
-			cfg.Mode = tc.mode
-			cfg.Eps = tc.eps // enough work that machine 0 must fetch from shard 1
-			cfg.QueryTimeout = tc.timeout
-			queries := c.EvenQuerySet(4, 5)
-			res, err := c.RunSSPPRBatch(context.Background(), queries, cfg, EngineMap)
+			cfg.Mode = mode
+			cfg.Eps = 1e-6 // enough work that machine 0 must fetch from shard 1
+			cfg.QueryTimeout = time.Second
+			res, err := c.RunSSPPRBatch(context.Background(), c.EvenQuerySet(1, 5), cfg, EngineMap)
 			if err != nil {
 				t.Fatalf("batch must not abort on per-query timeouts: %v", err)
 			}
-			if res.Failed == 0 {
-				t.Fatal("expected machine 0's queries to time out against the slow shard")
+			if res.Queries != 2 || res.Failed != 1 || res.Timeouts != 1 {
+				t.Fatalf("%d queries, %d failed, %d timeouts; want machine 0's one query timed out, machine 1's done", res.Queries, res.Failed, res.Timeouts)
 			}
-			if res.Failed == res.Queries {
-				t.Fatal("machine 1's queries should have survived")
-			}
-			if res.Timeouts < int64(res.Failed) {
-				t.Fatalf("Timeouts = %d, Failed = %d", res.Timeouts, res.Failed)
-			}
-			for _, qe := range res.Errors {
-				if qe.Machine != 0 {
-					t.Fatalf("machine %d failed a query: %v", qe.Machine, qe)
-				}
-				if !errors.Is(qe, context.DeadlineExceeded) {
-					t.Fatalf("failure is not a deadline expiry: %v", qe)
-				}
+			if qe := res.Errors[0]; qe.Machine != 0 || !errors.Is(qe, context.DeadlineExceeded) {
+				t.Fatalf("failure is not machine 0's deadline expiry: %v", qe)
 			}
 		})
 	}

@@ -384,3 +384,54 @@ func TestKillPrimaryDuringCompaction(t *testing.T) {
 		t.Fatal("no machine's compaction folded anything")
 	}
 }
+
+// TestAppendedVertexReadableAfterCompact: a compaction bakes an appended
+// vertex into its shard's base CSR and drops its version chain; the vertex
+// must stay readable at the current epoch — through an epoch-pinned local
+// read on its owner, and through the epoch-pinned remote fetch from another
+// machine — with the row the mutations gave it.
+func TestAppendedVertexReadableAfterCompact(t *testing.T) {
+	g := testGraph(33, 300, 1800)
+	shards, loc, quality := haTestShards(t, g, 2)
+	c := mutableCluster(t, shards, loc, quality, Options{NumMachines: 2, ProcsPerMachine: 1})
+	defer c.Close()
+	ctx := context.Background()
+
+	v := graph.NodeID(g.NumNodes)
+	epoch, err := c.Mutate(ctx, []delta.Mutation{
+		{Op: delta.OpAddVertex, Src: v},
+		{Op: delta.OpAddEdge, Src: v, Dst: 0, Weight: 1},
+		{Op: delta.OpAddEdge, Src: v, Dst: 5, Weight: 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, local := loc.Locate(v)
+	for m, st := range c.Deltas {
+		if cs := st.Compact(); cs.Boundary != epoch {
+			t.Fatalf("machine %d compacted to boundary %d, want %d", m, cs.Boundary, epoch)
+		}
+	}
+	cfg := core.DefaultConfig()
+	cfg.PinnedEpoch = epoch
+	for _, reader := range []int32{sh, 1 - sh} { // owner: shared memory; peer: GetNeighborInfosAt
+		fut := c.Storages[reader][0].GetNeighborInfos(ctx, sh, []int32{local}, cfg)
+		batch, err := fut.WaitCtx(ctx)
+		if err != nil {
+			t.Fatalf("machine %d reading the baked vertex at epoch %d: %v", reader, epoch, err)
+		}
+		nl, ns, nw, _, wdeg := batch.Row(0)
+		if len(nl) != 2 || wdeg != 1.5 {
+			t.Fatalf("machine %d: row has %d neighbors, wdeg %v; want 2, 1.5", reader, len(nl), wdeg)
+		}
+		for i, dst := range []graph.NodeID{0, 5} {
+			if got := loc.Global(ns[i], nl[i]); got != dst || nw[i] != []float32{1, 0.5}[i] {
+				t.Fatalf("machine %d: neighbor %d = node %d weight %v", reader, i, got, nw[i])
+			}
+		}
+		fut.Release()
+	}
+	if err := c.Deltas[sh].CheckLocalAt(sh, local, epoch); err != nil {
+		t.Fatalf("CheckLocalAt on the baked vertex: %v", err)
+	}
+}

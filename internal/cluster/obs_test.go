@@ -188,7 +188,7 @@ func TestAdminObservesFailover(t *testing.T) {
 	// Machine 0's view of the cluster gates readiness: when every serving
 	// endpoint of some remote shard has an open breaker, this process cannot
 	// answer queries touching that shard.
-	admin.AddCheck("breakers", c.Routers[0].ReadyCheck)
+	admin.AddCheck("breakers", c.Machines[0].Router.ReadyCheck)
 	addr, err := admin.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestAdminObservesFailover(t *testing.T) {
 	primaryHost := c.Placement.Machines(victimShard)[0]
 	inj.Kill(primaryHost)
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Trackers[0].State(fmt.Sprintf("m%d", primaryHost)) == ha.BreakerClosed {
+	for c.Machines[0].Tracker.State(fmt.Sprintf("m%d", primaryHost)) == ha.BreakerClosed {
 		if time.Now().After(deadline) {
 			t.Fatal("victim's breaker never left closed")
 		}

@@ -47,36 +47,26 @@ func VPBatch(vps []shard.VertexProp) NeighborBatch {
 	return &localBatch{vps: vps}
 }
 
-// infosBatch adapts a decoded wire.NeighborInfos to the NeighborBatch view.
+// infosBatch adapts rows [off, off+rows) of a decoded wire.NeighborInfos to
+// the NeighborBatch view: a whole response, or one fetch's row range of a
+// flush response shared with other fetches (internal/agg) — the offset keeps
+// that demux zero-copy.
 type infosBatch struct {
-	n *wire.NeighborInfos
-}
-
-func (b *infosBatch) NumRows() int { return b.n.NumRows() }
-
-func (b *infosBatch) Row(i int) (locals, shards []int32, weights, wdegs []float32, rowWDeg float32) {
-	l, s, w, d := b.n.Row(i)
-	return l, s, w, d, b.n.RowWDeg[i]
-}
-
-// InfosBatch wraps a decoded remote response.
-func InfosBatch(n *wire.NeighborInfos) NeighborBatch { return &infosBatch{n: n} }
-
-// aggBatch adapts one ticket's row range [off, off+rows) of a shared
-// aggregated CSR response (internal/agg) to the NeighborBatch view. The
-// decoded response is shared by every ticket of the flush; the offset keeps
-// the demux zero-copy.
-type aggBatch struct {
 	n    *wire.NeighborInfos
 	off  int
 	rows int
 }
 
-func (b *aggBatch) NumRows() int { return b.rows }
+func (b *infosBatch) NumRows() int { return b.rows }
 
-func (b *aggBatch) Row(i int) (locals, shards []int32, weights, wdegs []float32, rowWDeg float32) {
+func (b *infosBatch) Row(i int) (locals, shards []int32, weights, wdegs []float32, rowWDeg float32) {
 	l, s, w, d := b.n.Row(b.off + i)
 	return l, s, w, d, b.n.RowWDeg[b.off+i]
+}
+
+// InfosBatch wraps a decoded remote response.
+func InfosBatch(n *wire.NeighborInfos) NeighborBatch {
+	return &infosBatch{n: n, rows: n.NumRows()}
 }
 
 // rowBatch adapts rows assembled from the dynamic neighbor-row cache (hits,

@@ -50,7 +50,7 @@ func cachedDeployment(t *testing.T, g *graph.Graph, k int, cacheBytes int64) ([]
 		}
 		storages[i] = NewDistGraphStorage(int32(i), shards[i], loc, clients)
 		if cacheBytes > 0 {
-			storages[i].AttachCache(cache.New(cacheBytes))
+			storages[i].Neighbors.Cache = cache.New(cacheBytes)
 		}
 	}
 	cleanup := func() {
@@ -86,13 +86,13 @@ func TestCacheDedupSingleRPC(t *testing.T) {
 
 	f1 := storages[0].GetNeighborInfos(ctx, 1, []int32{l}, cfg)
 	f2 := storages[0].GetNeighborInfos(ctx, 1, []int32{l}, cfg)
-	if got := f1.RemoteRows(); got != 1 {
+	if got := f1.RemoteRows; got != 1 {
 		t.Fatalf("leader RemoteRows = %d, want 1", got)
 	}
-	if got := f2.RemoteRows(); got != 0 {
+	if got := f2.RemoteRows; got != 0 {
 		t.Fatalf("coalesced RemoteRows = %d, want 0", got)
 	}
-	if got := f2.CacheCoalesced(); got != 1 {
+	if got := f2.CacheCoalesced; got != 1 {
 		t.Fatalf("coalesced count = %d, want 1", got)
 	}
 	b1, err := f1.WaitCtx(ctx)
@@ -123,8 +123,8 @@ func TestCacheDedupSingleRPC(t *testing.T) {
 
 	// Third fetch: pure cache hit, still exactly one request on the server.
 	f3 := storages[0].GetNeighborInfos(ctx, 1, []int32{l}, cfg)
-	if f3.RemoteRows() != 0 || f3.CacheHits() != 1 {
-		t.Fatalf("hit fetch: RemoteRows=%d CacheHits=%d", f3.RemoteRows(), f3.CacheHits())
+	if f3.RemoteRows != 0 || f3.CacheHits != 1 {
+		t.Fatalf("hit fetch: RemoteRows=%d CacheHits=%d", f3.RemoteRows, f3.CacheHits)
 	}
 	if _, err := f3.WaitCtx(ctx); err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestCacheSecondQueryCheaper(t *testing.T) {
 }
 
 // TestCacheModesAgree: the cached path must produce correct rows under every
-// fetch mode (it batches internally even for FetchSingle).
+// fetch mode (the chain speaks CSR whatever the mode says).
 func TestCacheModesAgree(t *testing.T) {
 	g := testGraph(14, 200, 1200)
 	loc0 := ScoresFor(t, g, 0)

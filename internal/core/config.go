@@ -18,8 +18,6 @@ import (
 	"errors"
 	"time"
 
-	"pprengine/internal/admit"
-	"pprengine/internal/agg"
 	"pprengine/internal/rpc"
 )
 
@@ -53,7 +51,9 @@ func (m FetchMode) String() string {
 	}
 }
 
-// Config controls one SSPPR computation.
+// Config controls one SSPPR computation — per-query parameters only. What a
+// machine builds once and every query shares (cache and aggregator budgets,
+// admission limits, hedging) is stack.Config.
 type Config struct {
 	// Alpha is the teleport probability (paper default 0.462).
 	Alpha float64
@@ -75,39 +75,6 @@ type Config struct {
 	// future per shard and do not retry). Retry.MaxAttempts == 0 disables
 	// retries; see rpc.RetryPolicy for the backoff parameters.
 	Retry rpc.RetryPolicy
-	// CacheBytes is the byte budget for the machine-wide dynamic cache of
-	// remote neighbor rows (internal/cache): decoded rows are kept in a
-	// sharded LRU and concurrent fetches of the same vertex are coalesced
-	// into one RPC. 0 (the default) disables the cache, preserving the
-	// paper's ablation numbers exactly. The cache itself lives on
-	// DistGraphStorage (it is shared machine state, like the shard);
-	// cluster/deploy construction reads this knob to build and attach it.
-	CacheBytes int64
-	// AggWindow, when > 0 (or when AggRows > 0), enables the cross-query
-	// RPC fetch aggregator (internal/agg): concurrent queries' remote
-	// fetches bound for the same destination shard are coalesced into one
-	// wire request, flushed immediately when the link is idle and otherwise
-	// after this window. 0/0 (the default) disables aggregation, preserving
-	// the per-query RPC behavior — and every ablation number — exactly.
-	// Like CacheBytes, the knob is read at construction time (cluster /
-	// deploy) to build machine-shared aggregators.
-	AggWindow time.Duration
-	// AggRows caps the rows of one aggregated request: reaching it flushes
-	// the pending batch at once. Setting only AggRows also enables
-	// aggregation (the window falls back to the aggregator default).
-	AggRows int
-	// FeatCacheBytes is the byte budget for the machine-wide cache of
-	// remote feature rows (cache.FeatureCache) backing the GNN serving
-	// path. 0 (the default) disables it. Like CacheBytes, the knob is read
-	// at construction time (cluster / deploy) to build and attach the
-	// machine-shared cache.
-	FeatCacheBytes int64
-	// FeatAdmitMass is the feature cache's admission threshold: a fetched
-	// row is cached only when the highest PPR mass among the queries that
-	// requested it reaches this value (Kaler et al.'s probabilistic
-	// caching). 0 admits every fetched row. Ignored when FeatCacheBytes
-	// is 0. Feature-fetch aggregation shares the AggWindow/AggRows knobs.
-	FeatAdmitMass float64
 	// DeterministicPop sorts each Pop round's activated vertices by
 	// (shard, local) before pushing, and makes every push claim all of its
 	// rows before applying any neighbor delta. Without it rows are pushed in
@@ -120,14 +87,13 @@ type Config struct {
 	// noise. Default off: the sort costs O(k log k) per round, and
 	// claims-first order converges in measurably more pushes.
 	DeterministicPop bool
-	// ZeroCopy routes remote fetches through the zero-copy hot path: RPC
-	// response payloads stay in pooled buffers, decoders return views that
-	// alias them (or land in a reusable arena), and each machine decodes a
-	// remote row exactly once — the aggregator demux and the cache
-	// single-flight fill share the one decoded representation. Buffers return
-	// to their pool when the consuming future is released (DESIGN.md §5h).
-	// Off, every response is copy-decoded onto the heap — the pre-pooling
-	// allocation profile, kept as the -exp hotpath ablation baseline.
+	// ZeroCopy view-decodes the responses of requests this query issues
+	// itself: the payload stays in its pooled buffer, the decoded rows alias
+	// it (or land in a reusable arena), and the buffer returns to its pool
+	// when the consuming future is released (DESIGN.md "Fetch chain"). Off,
+	// such a response is copy-decoded onto the heap — the pre-pooling
+	// allocation profile, kept as the -exp hotpath ablation baseline. Requests
+	// merged across queries follow the machine's setting instead.
 	// DefaultConfig enables it.
 	ZeroCopy bool
 	// Tenant identifies the quota bucket this query draws from when the
@@ -138,31 +104,6 @@ type Config struct {
 	// higher-priority arrival may evict a lower-priority waiter from a full
 	// queue. 0 is the default band.
 	Priority int
-	// AdmitMaxInFlight, when > 0, enables the admission controller
-	// (internal/admit): at most this many queries execute concurrently on
-	// the machine, excess queries wait in a bounded priority queue, and
-	// queries that cannot meet their deadline — or exceed their tenant's
-	// quota — are shed early with a typed admit.ErrShed instead of timing
-	// out late. Like CacheBytes, the knob is read at construction time
-	// (cluster / deploy) to build the machine-shared controller; 0 (the
-	// default) disables admission entirely.
-	AdmitMaxInFlight int
-	// AdmitMaxQueue bounds the admission wait queue (0 = controller default
-	// 64). Ignored when AdmitMaxInFlight is 0.
-	AdmitMaxQueue int
-	// AdmitTenantRate / AdmitTenantBurst give every tenant a token bucket of
-	// that sustained rate (queries/second) and burst capacity. Rate 0
-	// disables per-tenant quotas; burst 0 defaults to max(rate, 1).
-	AdmitTenantRate  float64
-	AdmitTenantBurst float64
-	// Hedge, when replication is on, routes remote fetches through a hedger
-	// (admit.Hedger): a fetch whose primary replica has not answered within
-	// a latency-percentile-derived delay is also issued to a healthy replica
-	// and the first response wins. Construction-time knob like the admission
-	// fields. HedgeDelay, when > 0, fixes the hedge delay instead of
-	// deriving it from observed primary latencies.
-	Hedge      bool
-	HedgeDelay time.Duration
 	// PinnedEpoch pins every fetch of the query to one mutation epoch of the
 	// delta tier (internal/delta): local reads, halo rows, cached rows, and
 	// remote fetches all resolve the graph as of this epoch, so a query runs
@@ -203,33 +144,6 @@ func DefaultConfig() Config {
 		Overlap:  true,
 		ZeroCopy: true,
 	}
-}
-
-// AggEnabled reports whether the config asks for cross-query fetch
-// aggregation.
-func (c *Config) AggEnabled() bool { return c.AggWindow > 0 || c.AggRows > 0 }
-
-// AdmitEnabled reports whether the config asks for query admission control.
-func (c *Config) AdmitEnabled() bool { return c.AdmitMaxInFlight > 0 }
-
-// AdmitOptions converts the config's admission knobs to admit.Options.
-func (c *Config) AdmitOptions() admit.Options {
-	return admit.Options{
-		MaxInFlight: c.AdmitMaxInFlight,
-		MaxQueue:    c.AdmitMaxQueue,
-		TenantRate:  c.AdmitTenantRate,
-		TenantBurst: c.AdmitTenantBurst,
-	}
-}
-
-// HedgeOptions converts the config's hedging knobs to admit.HedgeOptions.
-func (c *Config) HedgeOptions() admit.HedgeOptions {
-	return admit.HedgeOptions{Delay: c.HedgeDelay}
-}
-
-// AggOptions converts the config's aggregation knobs to agg.Options.
-func (c *Config) AggOptions() agg.Options {
-	return agg.Options{Window: c.AggWindow, MaxRows: c.AggRows, ZeroCopy: c.ZeroCopy}
 }
 
 // TensorBaselineConfig is DefaultConfig plus the tensor-library dispatch

@@ -23,7 +23,7 @@ type QueryStats struct {
 	Timeouts       int64 // 1 when the query was cut short by deadline/cancel
 	CacheHits      int64 // remote rows served by the dynamic neighbor-row cache
 	CacheCoalesced int64 // rows that joined another query's in-flight fetch
-	RPCRequests    int64 // wire requests attributed to this query (see InfoFuture.RPCRequests)
+	RPCRequests    int64 // wire requests attributed to this query (see Future.Wire)
 	RequestBytes   int64 // request payload bytes attributed to this query
 }
 
@@ -217,9 +217,14 @@ func (sc *loopScratch) sameShard(n int, shard int32) []int32 {
 func runLoop(ctx context.Context, g *DistGraphStorage, m Engine, sc *loopScratch, cfg Config, bd *metrics.Breakdown) (stats QueryStats, err error) {
 	defer func() {
 		if err != nil {
-			// An aborted query leaves fetches in flight that still read the ID
-			// slices they were issued with; the next user of sc must not write
+			// An aborted query leaves fetches in flight: it gives up its hold
+			// on their response buffers (a fetch released unresolved hands its
+			// buffer back when it lands), and since they still read the ID
+			// slices they were issued with, the next user of sc must not write
 			// into those.
+			for _, p := range sc.remotes {
+				p.fut.Release()
+			}
 			clear(sc.byShard)
 		}
 	}()
@@ -244,9 +249,10 @@ func runLoop(ctx context.Context, g *DistGraphStorage, m Engine, sc *loopScratch
 	// must run after the wait: an aggregated fetch only knows its share of
 	// the flush once the flush resolved.
 	account := func(fut *InfoFuture) {
-		stats.Retries += fut.Retries()
-		stats.RPCRequests += fut.RPCRequests()
-		stats.RequestBytes += fut.RequestBytes()
+		reqs, bytes, retries := fut.Wire()
+		stats.RPCRequests += reqs
+		stats.RequestBytes += bytes
+		stats.Retries += retries
 	}
 	// wait resolves one remote fetch of the round.
 	wait := func(p pendingFetch) (batch NeighborBatch, err error) {
@@ -344,9 +350,9 @@ func runLoop(ctx context.Context, g *DistGraphStorage, m Engine, sc *loopScratch
 				sc.remotes = append(sc.remotes, pendingFetch{j, fut})
 				// With the dynamic cache, rows served from shared memory or a
 				// coalesced in-flight fetch are not RPC traffic.
-				stats.RemoteRows += fut.RemoteRows()
-				stats.CacheHits += fut.CacheHits()
-				stats.CacheCoalesced += fut.CacheCoalesced()
+				stats.RemoteRows += fut.RemoteRows
+				stats.CacheHits += fut.CacheHits
+				stats.CacheCoalesced += fut.CacheCoalesced
 			}
 		})
 

@@ -2,24 +2,42 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
+	"strings"
 
 	"pprengine/internal/agg"
-	"pprengine/internal/cache"
-	"pprengine/internal/obs"
-	"pprengine/internal/rpc"
-	"pprengine/internal/wire"
 )
 
 // Feature access for the GNN serving path (§4.5): every shard's storage
 // server can host a row-major feature block for its core vertices; compute
 // processes slice features for mini-batch subgraphs through the same
 // local/remote split as neighbor fetches ("slices corresponding features
-// from a cross-machine feature store"). Remote fetches ride the full
-// transport stack — replica routing, the machine-wide feature cache with
-// PPR-mass admission, cross-query flush aggregation, and the zero-copy
-// pooled-frame path — exactly like neighbor fetches do.
+// from a cross-machine feature store"). Remote fetches go down the feature
+// instantiation of the fetch chain — the machine-wide feature cache with
+// PPR-mass admission, cross-query flush aggregation, hedging and replica
+// routing, and the zero-copy pooled-frame path — exactly like neighbor
+// fetches do.
+
+// ErrNoFeatureStore reports a feature fetch against a shard that has no
+// feature block attached (AttachFeatures / AttachLocalFeatures). Local
+// fetches wrap it directly; remote fetches re-wrap the server's error
+// string so errors.Is works across the wire too.
+var ErrNoFeatureStore = errors.New("core: no feature store attached")
+
+// noFeatureStoreMsg is the marker the server embeds in its error so the
+// client side can map the stringified remote error back to the sentinel.
+const noFeatureStoreMsg = "no feature store attached"
+
+// wrapFeatureErr maps a remote handler's no-feature-store message back to
+// the typed sentinel: rpc errors cross the wire as strings, so this is the
+// only way callers keep errors.Is(err, ErrNoFeatureStore) for remote shards.
+func wrapFeatureErr(err error) error {
+	if err != nil && !errors.Is(err, ErrNoFeatureStore) && strings.Contains(err.Error(), noFeatureStoreMsg) {
+		return fmt.Errorf("%w: %v", ErrNoFeatureStore, err)
+	}
+	return err
+}
 
 // AttachFeatures registers the feature block on the server side.
 func (ss *StorageServer) AttachFeatures(dim int, feats []float32) error {
@@ -38,386 +56,25 @@ func (g *DistGraphStorage) AttachLocalFeatures(dim int, feats []float32) {
 	g.FeatureDim = dim
 }
 
-// FeatureFuture resolves to a row-major [len(locals) x dim] feature block.
-type FeatureFuture struct {
-	feats []float32
-	dim   int
-	err   error
-
-	fut      respFuture // direct or routed uncached path
-	dstShard int32
-	zeroCopy bool
-
-	// aggTicket is set when the fetch (or, with the cache, its leader rows)
-	// went through the feature-fetch aggregator; for a cached fetch it only
-	// carries the wire accounting (the flights resolve the rows).
-	aggTicket *agg.FeatTicket
-
-	// cached is set when the fetch went through the feature cache.
-	cached *cachedFeatFetch
-
-	// Row accounting, mirroring InfoFuture's: remoteRows are the rows this
-	// future requests over RPC (flight-leader rows only, with the cache);
-	// rpcReqs/reqBytes are known at issue time on the non-aggregated paths.
-	remoteRows     int64
-	cacheHits      int64
-	cacheCoalesced int64
-	rpcReqs        int64
-	reqBytes       int64
-
-	tr *obs.Tracer
-	sc obs.SpanContext
-
-	release     func()
-	releaseOnce sync.Once
-}
-
-// Release hands back the pooled response buffer backing this future's
-// feature block (zero-copy remote fetches and aggregated flush shares).
-// Call it only after every read of the slice returned by Wait/WaitCtx.
-// Idempotent and nil-safe; local fetches, cache-assembled blocks, and
-// copy-decoded responses make it a no-op.
-func (f *FeatureFuture) Release() {
-	if f == nil || f.release == nil {
-		return
+// FetchFeatures gathers feature rows for core vertices of dstShard. mass,
+// when non-nil, carries each requested row's PPR mass (indexed like locals) —
+// the admission signal of the feature cache: a fetched row is cached only
+// when the highest mass seen across the queries that requested it clears the
+// machine's admission threshold. Remote requests are issued under ctx.
+func (g *DistGraphStorage) FetchFeatures(ctx context.Context, dstShard int32, locals []int32, mass []float64) *FeatureFuture {
+	if dstShard != g.ShardID {
+		return g.Features.fetch(ctx, dstShard, 0, locals, mass, g.ZeroCopy)
 	}
-	f.releaseOnce.Do(f.release)
-}
-
-// RemoteRows returns the rows this future requests over RPC (with the
-// cache: flight-leader rows only).
-func (f *FeatureFuture) RemoteRows() int64 { return f.remoteRows }
-
-// CacheHits returns the rows served from the feature cache.
-func (f *FeatureFuture) CacheHits() int64 { return f.cacheHits }
-
-// CacheCoalesced returns the rows that joined another fetch's flight.
-func (f *FeatureFuture) CacheCoalesced() int64 { return f.cacheCoalesced }
-
-// RPCRequests returns the wire requests attributed to this fetch, with the
-// same opener-charged rule as InfoFuture.RPCRequests for aggregated paths.
-func (f *FeatureFuture) RPCRequests() int64 {
-	if f.aggTicket != nil {
-		r, _ := f.aggTicket.Accounting()
-		return r
+	if g.LocalFeatures == nil {
+		return readyFuture[[]float32](agg.FeatureBlock{}, fmt.Errorf("core: shard %d: %w", g.ShardID, ErrNoFeatureStore))
 	}
-	return f.rpcReqs
-}
-
-// RequestBytes returns the request payload bytes attributed to this fetch.
-func (f *FeatureFuture) RequestBytes() int64 {
-	if f.aggTicket != nil {
-		_, b := f.aggTicket.Accounting()
-		return b
-	}
-	return f.reqBytes
-}
-
-// Wait blocks for the block.
-func (f *FeatureFuture) Wait() ([]float32, int, error) {
-	return f.WaitCtx(context.Background())
-}
-
-// WaitCtx is Wait bounded by a context.
-func (f *FeatureFuture) WaitCtx(ctx context.Context) ([]float32, int, error) {
-	if f.feats != nil || f.err != nil {
-		return f.feats, f.dim, f.err
-	}
-	if f.cached != nil {
-		return f.waitCached(ctx)
-	}
-	if f.aggTicket != nil {
-		feats, dim, err := f.aggTicket.Wait(ctx)
-		if err != nil {
-			f.err = wrapPeerErr(f.dstShard, wrapFeatureErr(err))
-			return nil, 0, f.err
+	d := g.FeatureDim
+	out := make([]float32, 0, len(locals)*d)
+	for _, l := range locals {
+		if err := g.Local.CheckLocal(l); err != nil {
+			return readyFuture[[]float32](agg.FeatureBlock{}, err)
 		}
-		f.feats, f.dim = feats, dim
-		// This ticket's share of the flush's pooled payload goes home at
-		// f.Release, once the consumer copied the rows out.
-		f.release = f.aggTicket.Release
-		return f.feats, f.dim, nil
+		out = append(out, g.LocalFeatures[int(l)*d:(int(l)+1)*d]...)
 	}
-	payload, err := f.fut.WaitCtx(ctx)
-	if err != nil {
-		f.err = wrapPeerErr(f.dstShard, wrapFeatureErr(err))
-		return nil, 0, f.err
-	}
-	if f.zeroCopy {
-		// The decoded block aliases the pooled response payload when the
-		// host allows it; the buffer goes home at f.Release. A misaligned
-		// payload falls back to a heap copy inside the view decoder, so the
-		// buffer can go home immediately.
-		aliased := wire.CanAlias(payload)
-		f.dim, f.feats, f.err = wire.DecodeFeatureResponseView(payload)
-		if aliased && f.err == nil {
-			f.release = f.fut.Release
-		} else {
-			f.fut.Release()
-		}
-	} else {
-		f.dim, f.feats, f.err = wire.DecodeFeatureResponse(payload)
-		f.fut.Release() // block copied onto the heap by the decode
-	}
-	if f.err != nil {
-		f.err = wrapPeerErr(f.dstShard, f.err)
-		return nil, 0, f.err
-	}
-	return f.feats, f.dim, nil
-}
-
-// FetchFeatures gathers feature rows for core vertices of dstShard. Remote
-// requests are issued under ctx (through the replica router when
-// replication is on). Equivalent to FetchFeaturesMass with no mass signal.
-func (g *DistGraphStorage) FetchFeatures(ctx context.Context, dstShard int32, locals []int32) *FeatureFuture {
-	return g.FetchFeaturesMass(ctx, dstShard, locals, nil)
-}
-
-// FetchFeaturesMass is FetchFeatures carrying each requested row's PPR mass
-// — the admission signal for the feature cache: a fetched row is cached
-// only when its mass (the highest seen across reserving queries) clears
-// Config.FeatAdmitMass. mass may be nil (rows carry mass 0) and is
-// otherwise indexed like locals.
-func (g *DistGraphStorage) FetchFeaturesMass(ctx context.Context, dstShard int32, locals []int32, mass []float64) *FeatureFuture {
-	if dstShard == g.ShardID {
-		if g.LocalFeatures == nil {
-			return &FeatureFuture{err: fmt.Errorf("core: shard %d: %w", g.ShardID, ErrNoFeatureStore)}
-		}
-		d := g.FeatureDim
-		out := make([]float32, 0, len(locals)*d)
-		for _, l := range locals {
-			if err := g.Local.CheckLocal(l); err != nil {
-				return &FeatureFuture{err: err}
-			}
-			out = append(out, g.LocalFeatures[int(l)*d:(int(l)+1)*d]...)
-		}
-		return &FeatureFuture{feats: out, dim: d}
-	}
-	if g.Clients[dstShard] == nil && g.Router == nil {
-		return &FeatureFuture{err: fmt.Errorf("core: no client for shard %d", dstShard)}
-	}
-	if g.FeatCache != nil {
-		return g.fetchFeaturesCached(obs.FromContext(ctx), dstShard, locals, mass)
-	}
-	if ag := g.featAggFor(dstShard); ag != nil {
-		return &FeatureFuture{dstShard: dstShard, aggTicket: ag.EnqueueTraced(obs.FromContext(ctx), locals), remoteRows: int64(len(locals))}
-	}
-	payload := wire.EncodeIDList(locals)
-	return &FeatureFuture{
-		dstShard: dstShard, zeroCopy: g.zeroCopyFeatures(), remoteRows: int64(len(locals)),
-		rpcReqs: 1, reqBytes: int64(len(payload)),
-		fut: g.call(ctx, dstShard, rpc.MethodFetchFeatures, payload),
-	}
-}
-
-// zeroCopyFeatures reports whether feature responses should be view-decoded.
-// The feature path has no per-query Config, so the knob is structural: any
-// attached machinery built with ZeroCopy (or nothing at all — the default
-// config enables it) aliases; a plain copy profile is what the serve
-// ablation's "off" pass gets by constructing without zero-copy.
-func (g *DistGraphStorage) zeroCopyFeatures() bool { return g.featZeroCopyOff == 0 }
-
-// SetFeatureZeroCopy toggles view decoding for uncached direct feature
-// fetches (used by ablations; on by default).
-func (g *DistGraphStorage) SetFeatureZeroCopy(on bool) {
-	if on {
-		g.featZeroCopyOff = 0
-	} else {
-		g.featZeroCopyOff = 1
-	}
-}
-
-// cachedFeatFetch is the per-future state of a cache-mediated feature
-// fetch: row i corresponds to the i-th requested local ID and is either a
-// cache hit (filled at issue time) or resolved through a flight.
-type cachedFeatFetch struct {
-	rows    [][]float32
-	flights []*cache.FeatFlight // nil at hit indices
-}
-
-// featFetchGroup decodes one leader RPC response and fulfills the flights
-// of every row it carries — idempotent and drivable by any participant,
-// like fetchGroup.
-type featFetchGroup struct {
-	fut  respFuture
-	zc   bool
-	once sync.Once
-	// flights[i] is the flight for the i-th requested row.
-	flights []*cache.FeatFlight
-}
-
-// resolve must only be called after fut resolved (its Done channel closed).
-func (fg *featFetchGroup) resolve() {
-	fg.once.Do(func() {
-		payload, err := fg.fut.Wait()
-		if err != nil {
-			fg.fut.Release()
-			fg.fail(wrapFeatureErr(err))
-			return
-		}
-		// The flights copy each row into cache-owned storage, so the
-		// response payload goes home as soon as the demux finishes — one
-		// decode, here, read by every waiter through the cache rows.
-		var feats []float32
-		var dim int
-		if fg.zc {
-			dim, feats, err = wire.DecodeFeatureResponseView(payload)
-		} else {
-			dim, feats, err = wire.DecodeFeatureResponse(payload)
-		}
-		defer fg.fut.Release()
-		if err != nil {
-			fg.fail(err)
-			return
-		}
-		if dim <= 0 || len(feats) != len(fg.flights)*dim {
-			fg.fail(fmt.Errorf("core: feature fetch returned %d floats at dim %d, want %d rows", len(feats), dim, len(fg.flights)))
-			return
-		}
-		for i, fl := range fg.flights {
-			row := make([]float32, dim)
-			copy(row, feats[i*dim:(i+1)*dim])
-			fl.Fulfill(row, nil)
-		}
-	})
-}
-
-func (fg *featFetchGroup) fail(err error) {
-	for _, fl := range fg.flights {
-		fl.Fulfill(nil, err)
-	}
-}
-
-// featAggResolver fulfills a cached feature fetch's leader flights from its
-// aggregator ticket's row range. Idempotent; whichever participant observes
-// the ticket resolve first drives it.
-type featAggResolver struct {
-	t       *agg.FeatTicket
-	once    sync.Once
-	flights []*cache.FeatFlight
-}
-
-// resolve must only be called after the ticket's Done channel closed.
-func (ar *featAggResolver) resolve() {
-	ar.once.Do(func() {
-		feats, dim, err := ar.t.Result()
-		if err != nil {
-			ar.t.Release()
-			for _, fl := range ar.flights {
-				fl.Fulfill(nil, wrapFeatureErr(err))
-			}
-			return
-		}
-		for i, fl := range ar.flights {
-			row := make([]float32, dim)
-			copy(row, feats[i*dim:(i+1)*dim])
-			fl.Fulfill(row, nil)
-		}
-		// Rows are now cache-owned copies; this ticket's share of the flush
-		// payload goes home. The resolver owns the cached path's ticket, so
-		// an abandoned leader still returns the buffer.
-		ar.t.Release()
-	})
-}
-
-// fetchFeaturesCached serves a feature fetch through the shared cache: hits
-// resolve immediately, misses elect single-flight leaders, and this future
-// issues one RPC (or one aggregator ticket) covering the rows it leads.
-// Like the neighbor-row cached path, the leader RPC is issued without the
-// query's context — the fetch is shared machine-wide state — but carries
-// its trace context.
-func (g *DistGraphStorage) fetchFeaturesCached(sc obs.SpanContext, dstShard int32, locals []int32, mass []float64) *FeatureFuture {
-	cf := &cachedFeatFetch{
-		rows:    make([][]float32, len(locals)),
-		flights: make([]*cache.FeatFlight, len(locals)),
-	}
-	f := &FeatureFuture{dstShard: dstShard, cached: cf, tr: g.Tracer, sc: sc}
-	var leaderLocals []int32
-	var leaderFlights []*cache.FeatFlight
-	for i, l := range locals {
-		m := 0.0
-		if mass != nil {
-			m = mass[i]
-		}
-		row, hit, fl, leader := g.FeatCache.GetOrReserve(dstShard, l, m)
-		switch {
-		case hit:
-			cf.rows[i] = row
-			f.cacheHits++
-		case leader:
-			cf.flights[i] = fl
-			leaderLocals = append(leaderLocals, l)
-			leaderFlights = append(leaderFlights, fl)
-		default:
-			cf.flights[i] = fl
-			f.cacheCoalesced++
-		}
-	}
-	f.remoteRows = int64(len(leaderLocals))
-	if len(leaderLocals) > 0 {
-		if ag := g.featAggFor(dstShard); ag != nil {
-			t := ag.EnqueueTraced(sc, leaderLocals)
-			f.aggTicket = t
-			ar := &featAggResolver{t: t, flights: leaderFlights}
-			for _, fl := range leaderFlights {
-				fl.AttachSource(t.Done(), ar.resolve)
-			}
-		} else {
-			payload := wire.EncodeIDList(leaderLocals)
-			f.rpcReqs = 1
-			f.reqBytes = int64(len(payload))
-			fg := &featFetchGroup{
-				fut:     g.call(obs.ContextWith(context.Background(), sc), dstShard, rpc.MethodFetchFeatures, payload),
-				zc:      g.zeroCopyFeatures(),
-				flights: leaderFlights,
-			}
-			for _, fl := range leaderFlights {
-				fl.AttachSource(fg.fut.Done(), fg.resolve)
-			}
-		}
-	}
-	return f
-}
-
-// waitCached assembles the feature block for a cache-mediated fetch: hits
-// are in place; every other row waits on its flight under ctx (timed as a
-// "featcache:wait" span when traced). The block is assembled into a fresh
-// contiguous slice — cache rows stay cache-owned.
-func (f *FeatureFuture) waitCached(ctx context.Context) ([]float32, int, error) {
-	cf := f.cached
-	var span obs.ActiveSpan
-	waiting := false
-	for i, fl := range cf.flights {
-		if fl == nil {
-			continue // cache hit, filled at issue time
-		}
-		if !waiting {
-			waiting = true
-			span = f.tr.StartSpan(f.sc, "featcache:wait")
-			span.SetShard(f.dstShard)
-		}
-		row, err := fl.Wait(ctx)
-		if err != nil {
-			f.err = wrapPeerErr(f.dstShard, err)
-			span.SetErr(true)
-			span.End()
-			return nil, 0, f.err
-		}
-		cf.rows[i] = row
-	}
-	span.End()
-	if len(cf.rows) == 0 {
-		f.feats = []float32{}
-		return f.feats, f.dim, nil
-	}
-	f.dim = len(cf.rows[0])
-	f.feats = make([]float32, 0, len(cf.rows)*f.dim)
-	for i, row := range cf.rows {
-		if len(row) != f.dim {
-			f.err = fmt.Errorf("core: cached feature rows disagree on dim: %d vs %d (row %d)", f.dim, len(row), i)
-			return nil, 0, f.err
-		}
-		f.feats = append(f.feats, row...)
-	}
-	return f.feats, f.dim, nil
+	return readyFuture[[]float32](agg.FeatureBlock{Dim: d, Data: out}, nil)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"pprengine/internal/agg"
 	"sync"
 
 	"pprengine/internal/graph"
@@ -232,12 +233,12 @@ type SampleNFuture struct {
 	resp     *wire.SampleNResponse
 	respVal  wire.SampleNResponse // zero-copy decode target (avoids a heap alloc)
 	err      error
-	fut      respFuture
+	fut      agg.Response
 	dstShard int32
 
 	// zeroCopy selects the view decoder; release returns the pooled payload
 	// buffer / decode arena backing resp, set by the wait path that decoded
-	// it (mirrors InfoFuture).
+	// it.
 	zeroCopy    bool
 	release     func()
 	releaseOnce sync.Once
@@ -305,7 +306,7 @@ func (f *SampleNFuture) WaitCtx(ctx context.Context) (*wire.SampleNResponse, err
 // carrying ctx's trace context either way.
 func (g *DistGraphStorage) SampleNeighbors(ctx context.Context, dstShard int32, locals []int32, fanout int32, seed int64) *SampleNFuture {
 	if dstShard == g.ShardID {
-		if g.zeroCopySamples() {
+		if g.ZeroCopy {
 			// Shared-memory fast path: exact-size rows in a pooled arena,
 			// recycled at Release once the caller consumed them.
 			f := &SampleNFuture{}
@@ -322,12 +323,9 @@ func (g *DistGraphStorage) SampleNeighbors(ctx context.Context, dstShard int32, 
 		resp, err := SampleNeighborsLocal(g.Local, g.Locator, locals, fanout, seed)
 		return &SampleNFuture{resp: resp, err: err}
 	}
-	if g.Clients[dstShard] == nil && g.Router == nil {
-		return &SampleNFuture{err: fmt.Errorf("core: no client for shard %d", dstShard)}
-	}
 	payload := wire.EncodeSampleNRequest(&wire.SampleNRequest{Seed: seed, Fanout: fanout, Locals: locals})
-	return &SampleNFuture{dstShard: dstShard, zeroCopy: g.zeroCopySamples(),
-		fut: g.call(ctx, dstShard, rpc.MethodSampleNeighbors, payload)}
+	return &SampleNFuture{dstShard: dstShard, zeroCopy: g.ZeroCopy,
+		fut: g.Transport(ctx, dstShard, rpc.MethodSampleNeighbors, payload)}
 }
 
 // KHopResult is a sampled computation graph: the union of sampled vertices

@@ -83,7 +83,7 @@ func TestKHopSampleZeroCopyTogglesEqual(t *testing.T) {
 		srv.SetSampleZeroCopy(false)
 	}
 	for _, st := range storages {
-		st.SetSampleZeroCopy(false)
+		st.ZeroCopy = false
 	}
 	if got := run(); !reflect.DeepEqual(want, got) {
 		t.Fatalf("legacy pass sampled a different graph: %d/%d nodes, %d/%d edges",

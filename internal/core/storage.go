@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,7 +12,6 @@ import (
 	"pprengine/internal/agg"
 	"pprengine/internal/cache"
 	"pprengine/internal/delta"
-	"pprengine/internal/ha"
 	"pprengine/internal/mem"
 	"pprengine/internal/metrics"
 	"pprengine/internal/obs"
@@ -43,10 +39,10 @@ type StorageServer struct {
 	srv    *rpc.Server
 	tracer *obs.Tracer
 
-	// delta, when non-nil, is the machine's mutation tier (AttachDelta): the
+	// delta, once set, is the machine's mutation tier (AttachDelta): the
 	// delta-CSR store backing MethodApplyMutations and the epoch-pinned
-	// neighbor fetch.
-	delta *delta.Store
+	// neighbor fetch. Atomic because it is attached to a serving process.
+	delta atomic.Pointer[delta.Store]
 
 	// Owner-compute query-service observability, fed by the SSPPRQuery
 	// handler: accumulated per-phase breakdown plus served/failed counts.
@@ -89,27 +85,8 @@ func (ss *StorageServer) register() {
 	// whether this machine is alive. It must stay trivial — a probe measures
 	// reachability and scheduling, not shard work.
 	ss.srv.Handle(rpc.MethodEcho, func(p []byte) ([]byte, error) { return p, nil })
-	// The batched-CSR handler is the server side of the zero-copy hot path:
-	// the request IDs are read as a view over the (pooled) request payload,
-	// the CSR batch is assembled in a pooled arena, and the response is
-	// encoded straight into a pooled buffer that the rpc layer writes
-	// vectored and then releases — steady state, a fetch costs the server no
-	// per-request heap allocation.
-	ss.srv.HandleBuf(rpc.MethodGetNeighborInfos, func(_ context.Context, p []byte) (*mem.Buf, error) {
-		ids, err := wire.DecodeIDListView(p)
-		if err != nil {
-			return nil, err
-		}
-		arena := mem.GetArena()
-		defer mem.PutArena(arena)
-		infos, err := BuildInfosArena(ss.Shard, ids, arena)
-		if err != nil {
-			return nil, err
-		}
-		buf := respPool.Get(wire.CSRSize(infos))
-		buf.SetLen(len(wire.EncodeCSRTo(buf.Bytes()[:0], infos)))
-		return buf, nil
-	})
+	ss.srv.HandleBuf(rpc.MethodGetNeighborInfos, ss.handleNeighborInfos)
+	ss.srv.HandleBuf(rpc.MethodGetNeighborInfosAt, ss.handleNeighborInfosAt)
 	ss.srv.Handle(rpc.MethodGetNeighborInfosLoL, func(p []byte) ([]byte, error) {
 		ids, err := wire.DecodeIDListView(p)
 		if err != nil {
@@ -222,46 +199,20 @@ func (ss *StorageServer) register() {
 	})
 }
 
-// ErrNoFeatureStore reports a feature fetch against a shard that has no
-// feature block attached (AttachFeatures / AttachLocalFeatures). Local
-// fetches wrap it directly; remote fetches re-wrap the server's error
-// string so errors.Is works across the wire too.
-var ErrNoFeatureStore = errors.New("core: no feature store attached")
-
-// noFeatureStoreMsg is the marker the server embeds in its error so the
-// client side can map the stringified remote error back to the sentinel.
-const noFeatureStoreMsg = "no feature store attached"
-
-// wrapFeatureErr maps a remote handler's no-feature-store message back to
-// the typed sentinel: rpc errors cross the wire as strings, so this is the
-// only way callers keep errors.Is(err, ErrNoFeatureStore) for remote shards.
-func wrapFeatureErr(err error) error {
-	if err != nil && !errors.Is(err, ErrNoFeatureStore) && strings.Contains(err.Error(), noFeatureStoreMsg) {
-		return fmt.Errorf("%w: %v", ErrNoFeatureStore, err)
-	}
-	return err
-}
-
 // epochWaitTimeout bounds how long an epoch-pinned fetch waits for an
 // in-flight mirror batch when the request carries no deadline of its own.
 const epochWaitTimeout = 5 * time.Second
 
-// AttachDelta installs the machine's delta store and registers the two
-// mutation-tier wire methods:
-//
-//   - MethodApplyMutations installs one resolved, epoch-stamped mutation
-//     batch (coordinator broadcast / replica mirror). The payload aliases a
-//     pooled request frame, so the decode copies before the store keeps
-//     anything. Replays ack idempotently; an epoch gap is an error and the
-//     store stays stale (DESIGN.md §5l).
-//   - MethodGetNeighborInfosAt is the epoch-pinned GetNeighborInfos: same
-//     zero-copy CSR response path, but rows resolve through the delta
-//     overlay as of the request's epoch instead of the raw base CSR.
-//
-// Call before Start, once per server; the store is machine-shared state like
-// the shard itself.
+// AttachDelta installs the machine's delta store — rows of epoch-pinned
+// fetches then resolve through its overlay instead of the raw base CSR — and
+// registers MethodApplyMutations, which installs one resolved, epoch-stamped
+// mutation batch (coordinator broadcast / replica mirror). The payload
+// aliases a pooled request frame, so the decode copies before the store keeps
+// anything. Replays ack idempotently; an epoch gap is an error and the store
+// stays stale (DESIGN.md §5l). Once per server; the store is machine-shared
+// state like the shard itself.
 func (ss *StorageServer) AttachDelta(store *delta.Store) {
-	ss.delta = store
+	ss.delta.Store(store)
 	ss.srv.Handle(rpc.MethodApplyMutations, func(p []byte) ([]byte, error) {
 		b, err := wire.DecodeMutationBatch(p)
 		if err != nil {
@@ -272,40 +223,69 @@ func (ss *StorageServer) AttachDelta(store *delta.Store) {
 		}
 		return wire.EncodeMutationAck(b.Epoch), nil
 	})
-	ss.srv.HandleBuf(rpc.MethodGetNeighborInfosAt, func(ctx context.Context, p []byte) (*mem.Buf, error) {
-		epoch, ids, err := wire.DecodeIDListAtView(p)
-		if err != nil {
-			return nil, err
+}
+
+// Methods 1 and 11 are one handler body behind two request decoders: the
+// legacy request is the epoch-pinned one at epoch 0.
+func (ss *StorageServer) handleNeighborInfos(ctx context.Context, p []byte) (*mem.Buf, error) {
+	ids, err := wire.DecodeIDListView(p)
+	if err != nil {
+		return nil, err
+	}
+	return ss.neighborInfos(ctx, 0, ids)
+}
+
+func (ss *StorageServer) handleNeighborInfosAt(ctx context.Context, p []byte) (*mem.Buf, error) {
+	epoch, ids, err := wire.DecodeIDListAtView(p)
+	if err != nil {
+		return nil, err
+	}
+	return ss.neighborInfos(ctx, epoch, ids)
+}
+
+// neighborInfos answers a batched neighbor fetch as of epoch (0 = the static
+// base graph) — the server side of the zero-copy hot path: the request IDs
+// are a view over the pooled request payload, the CSR batch is assembled in a
+// pooled arena, and the response is encoded straight into a pooled buffer
+// that the rpc layer writes vectored and then releases — steady state, a
+// fetch costs the server no per-request heap allocation.
+func (ss *StorageServer) neighborInfos(ctx context.Context, epoch uint64, ids []int32) (*mem.Buf, error) {
+	arena := mem.GetArena()
+	defer mem.PutArena(arena)
+	var infos *wire.NeighborInfos
+	var err error
+	if epoch == 0 {
+		infos, err = BuildInfosArena(ss.Shard, ids, arena)
+	} else {
+		store := ss.delta.Load()
+		if store == nil {
+			return nil, fmt.Errorf("core: epoch %d pinned but shard %d serves no delta store", epoch, ss.Shard.ShardID)
 		}
 		// A pinned epoch names an assigned batch, but the coordinator's
 		// mirror delivering it here may still be in flight (its local store
 		// advances first). Wait for it, bounded so a stale machine errors
 		// instead of hanging the query.
-		if epoch != 0 {
-			wctx := ctx
-			if _, ok := wctx.Deadline(); !ok {
-				var cancel context.CancelFunc
-				wctx, cancel = context.WithTimeout(ctx, epochWaitTimeout)
-				defer cancel()
-			}
-			if err := store.WaitEpoch(wctx, epoch); err != nil {
-				return nil, err
-			}
+		wctx := ctx
+		if _, ok := wctx.Deadline(); !ok {
+			var cancel context.CancelFunc
+			wctx, cancel = context.WithTimeout(ctx, epochWaitTimeout)
+			defer cancel()
 		}
-		arena := mem.GetArena()
-		defer mem.PutArena(arena)
-		infos, err := BuildInfosAtArena(store, ss.Shard.ShardID, ids, epoch, arena)
-		if err != nil {
+		if err := store.WaitEpoch(wctx, epoch); err != nil {
 			return nil, err
 		}
-		buf := respPool.Get(wire.CSRSize(infos))
-		buf.SetLen(len(wire.EncodeCSRTo(buf.Bytes()[:0], infos)))
-		return buf, nil
-	})
+		infos, err = BuildInfosAtArena(store, ss.Shard.ShardID, ids, epoch, arena)
+	}
+	if err != nil {
+		return nil, err
+	}
+	buf := respPool.Get(wire.CSRSize(infos))
+	buf.SetLen(len(wire.EncodeCSRTo(buf.Bytes()[:0], infos)))
+	return buf, nil
 }
 
 // Delta returns the attached delta store (nil for a static deployment).
-func (ss *StorageServer) Delta() *delta.Store { return ss.delta }
+func (ss *StorageServer) Delta() *delta.Store { return ss.delta.Load() }
 
 // FetchFeaturesLocal gathers feature rows for core vertices.
 func (ss *StorageServer) FetchFeaturesLocal(ids []int32) ([]float32, error) {
@@ -407,283 +387,138 @@ func SampleOneNeighborLocal(s *shard.Shard, loc *shard.Locator, locals []int32, 
 	return resp, nil
 }
 
-// respFuture is the minimal pending-response surface shared by a direct
-// *rpc.Future and a failover-routed *ha.CallFuture, so the fetch paths work
-// identically with and without replication. Release hands the response's
-// pooled payload buffer back to its pool once the consumer is done with the
-// bytes (idempotent, no-op before resolution — DESIGN.md §5h).
-type respFuture interface {
-	Done() <-chan struct{}
-	Wait() ([]byte, error)
-	WaitCtx(ctx context.Context) ([]byte, error)
-	Release()
+// DistGraphStorage is a compute process's handle on the whole distributed
+// graph: direct shared-memory access to the local shard, and one fetch chain
+// per row type to the others. It is the Go analogue of the Python object
+// constructed from the rrefs list in Figure 4.
+//
+// A handle from NewDistGraphStorage is bare: its chains are only their rpc
+// tail over Clients. The machine's builder (internal/stack) installs the
+// machine-shared stages — caches, aggregators, the routed or hedged
+// transport, admission — on every handle of the machine.
+type DistGraphStorage struct {
+	ShardID   int32
+	NumShards int32
+	Local     *shard.Shard
+	Locator   *shard.Locator
+	Clients   []*rpc.Client // direct connections by shard ID (nil for the local shard, and for every shard of a handle that only routes)
+
+	// LocalFeatures/FeatureDim give shared-memory access to the machine's
+	// feature block for the GNN case study (see AttachLocalFeatures).
+	LocalFeatures []float32
+	FeatureDim    int
+
+	// Neighbors and Features are the two instantiations of the fetch chain.
+	Neighbors *Chain[cache.Row, NeighborBatch]
+	Features  *Chain[[]float32, agg.FeatureBlock]
+
+	// Transport carries every remote request of this handle — the chains'
+	// fetches, sampling, stats. The default reaches each shard through
+	// Clients; with replication it is the machine's replica router (primary
+	// first, failover to a healthy replica — internal/ha) or, over that, its
+	// hedger (admit.Hedger).
+	Transport agg.Transport
+
+	// ZeroCopy view-decodes responses on the paths that have no per-query
+	// Config to say so: feature fetches and neighbor sampling. On by default.
+	ZeroCopy bool
+
+	// Delta, when non-nil, is the machine-shared delta-CSR mutation store
+	// (internal/delta): queries pin one of its epochs and every fetch —
+	// local shared-memory reads included — resolves through the overlay as
+	// of that epoch. nil keeps the static base-CSR engine byte-for-byte.
+	Delta *delta.Store
+
+	// Admit, when non-nil, is the machine's admission controller
+	// (internal/admit): RunSSPPR claims an execution slot before any
+	// pop/push work and sheds queries that cannot meet their deadline or
+	// exceed their tenant's quota. Machine-shared state like the cache.
+	Admit *admit.Controller
+
+	// Tracer records this machine's spans for sampled queries (nil when
+	// tracing is off — every use is nil-safe).
+	Tracer *obs.Tracer
 }
 
-// InfoFuture is the engine-level future for a neighbor-info fetch. Local
-// fetches resolve immediately (Batch already set); remote fetches decode on
-// Wait.
-type InfoFuture struct {
-	batch    NeighborBatch
-	err      error
-	futures  []respFuture // the batched request (Batch/BatchCompress)
-	mode     FetchMode
-	dstShard int32 // destination shard, for peer-fault attribution
-
-	// FetchSingle state: the paper's "Single" baseline processes one
-	// vertex at a time, so the per-vertex requests are issued strictly
-	// sequentially at Wait time — no pipelining. retry bounds transient
-	// per-vertex retries; retried counts the backoff rounds taken.
-	seqClient *rpc.Client
-	seqRouter *ha.ReplicaRouter // when set, per-vertex calls fail over
-	seqLocals []int32
-	retry     rpc.RetryPolicy
-	retried   int64
-
-	// cached is set when the fetch went through the dynamic neighbor-row
-	// cache; see getNeighborInfosCached.
-	cached *cachedFetch
-	// aggTicket is set when the fetch (or, with the cache, its leader rows)
-	// went through the cross-query fetch aggregator. For an uncached
-	// aggregated fetch it is also the wait source; for a cached one it only
-	// carries the wire accounting (the flights resolve the rows).
-	aggTicket *agg.Ticket
-	// remoteRows counts the rows this future actually requests over RPC
-	// (with the cache: flight-leader rows only). Known at issue time.
-	remoteRows int64
-	// cacheHits / cacheCoalesced count rows served from the shared cache
-	// and rows piggybacked on another query's in-flight fetch.
-	cacheHits      int64
-	cacheCoalesced int64
-	// rpcReqs / reqBytes record the wire requests (and request payload
-	// bytes) this fetch issued, for the non-aggregated paths where both are
-	// known at issue time. Aggregated fetches read them off the ticket
-	// instead — see RPCRequests.
-	rpcReqs  int64
-	reqBytes int64
-
-	// tr/sc time the cache-wait phase of a cached fetch ("cache:wait" span)
-	// when the issuing query is traced. Both are nil-safe/zero-safe.
-	tr *obs.Tracer
-	sc obs.SpanContext
-
-	// zeroCopy selects the view decoders (Config.ZeroCopy) for the batched
-	// remote paths; release returns the pooled buffer / arena backing the
-	// decoded batch, set by the wait path that decoded it.
-	zeroCopy    bool
-	release     func()
-	releaseOnce sync.Once
-}
-
-// Release hands back the pooled response buffer (or decode arena) backing
-// this future's batch. Call it only after every read of the batch returned
-// by Wait/WaitCtx — afterwards the batch's rows may alias recycled memory.
-// Idempotent and nil-safe; futures whose batch owns its memory (local
-// shared-memory views, cache rows, copy-decoded responses) make it a no-op.
-func (f *InfoFuture) Release() {
-	if f == nil || f.release == nil {
-		return
+// NewDistGraphStorage assembles a bare handle. clients must have one entry
+// per shard; the local entry — or, for a handle whose Transport will be
+// replaced by a router, every entry — may be nil.
+func NewDistGraphStorage(shardID int32, local *shard.Shard, loc *shard.Locator, clients []*rpc.Client) *DistGraphStorage {
+	g := &DistGraphStorage{
+		ShardID:   shardID,
+		NumShards: int32(len(clients)),
+		Local:     local,
+		Locator:   loc,
+		Clients:   clients,
+		ZeroCopy:  true,
 	}
-	f.releaseOnce.Do(f.release)
+	g.Neighbors = &Chain[cache.Row, NeighborBatch]{t: neighborTier, g: g}
+	g.Features = &Chain[[]float32, agg.FeatureBlock]{t: featureTier, g: g}
+	// The direct transport binds the request to ctx: cancelling the query
+	// cancels its own un-shared requests.
+	g.Transport = func(ctx context.Context, dst int32, m rpc.Method, payload []byte) agg.Response {
+		if c := clients[dst]; c != nil {
+			return c.CallCtx(ctx, m, payload)
+		}
+		return agg.Failed(fmt.Errorf("core: no client for shard %d", dst))
+	}
+	return g
 }
 
-// Retries returns the number of transient-error retries this fetch
-// performed (FetchSingle mode only; the batched modes never retry).
-func (f *InfoFuture) Retries() int64 { return f.retried }
+// AttachDelta installs the machine-shared delta store on this compute
+// handle; epoch-pinned queries (Config.PinnedEpoch, or the driver's
+// admission-time pin) then resolve local rows and halo patches through it.
+func (g *DistGraphStorage) AttachDelta(s *delta.Store) { g.Delta = s }
 
-// RemoteRows returns the number of rows this future requests over RPC —
-// with the dynamic cache active, cache hits and coalesced rows are excluded.
-func (f *InfoFuture) RemoteRows() int64 { return f.remoteRows }
+// AttachAdmission installs the machine-shared admission controller; the
+// driver then gates every RunSSPPR through it.
+func (g *DistGraphStorage) AttachAdmission(c *admit.Controller) { g.Admit = c }
 
-// CacheHits returns the rows served from the dynamic neighbor-row cache.
-func (f *InfoFuture) CacheHits() int64 { return f.cacheHits }
+// AttachTracer installs the machine's tracer on this compute handle.
+func (g *DistGraphStorage) AttachTracer(t *obs.Tracer) { g.Tracer = t }
 
-// CacheCoalesced returns the rows that joined another query's in-flight
-// fetch instead of issuing their own RPC.
-func (f *InfoFuture) CacheCoalesced() int64 { return f.cacheCoalesced }
-
-// RPCRequests returns the wire requests attributed to this fetch. For an
-// aggregated fetch the flush is shared: its one request (and payload bytes)
-// is charged to the fetch that opened the flush and zero to the riders, so
-// per-query sums still equal the true wire totals. Call after the fetch
-// resolved — an aggregated fetch reports zeros until its flush completes.
-func (f *InfoFuture) RPCRequests() int64 {
-	if f.aggTicket != nil {
-		r, _ := f.aggTicket.Accounting()
-		return r
+// GetNeighborInfos fetches neighbor information for core vertices of
+// dstShard as of cfg.PinnedEpoch. Local requests resolve immediately via
+// shared memory; remote requests go down the neighbor chain and return a
+// pending future — when ctx ends, the future resolves to ctx.Err(). The chain
+// speaks CSR; the Table 3 baselines (cfg.Mode Single / Batch) apply on a bare
+// chain only.
+func (g *DistGraphStorage) GetNeighborInfos(ctx context.Context, dstShard int32, locals []int32, cfg Config) *InfoFuture {
+	epoch := cfg.PinnedEpoch
+	if dstShard != g.ShardID {
+		if cfg.Mode != FetchBatchCompress && g.Neighbors.bare(dstShard) {
+			return g.fetchAblation(ctx, dstShard, locals, cfg)
+		}
+		return g.Neighbors.fetch(ctx, dstShard, epoch, locals, nil, cfg.ZeroCopy)
 	}
-	return f.rpcReqs
-}
-
-// RequestBytes returns the request payload bytes attributed to this fetch
-// (same attribution rule as RPCRequests).
-func (f *InfoFuture) RequestBytes() int64 {
-	if f.aggTicket != nil {
-		_, b := f.aggTicket.Accounting()
-		return b
-	}
-	return f.reqBytes
-}
-
-// Wait blocks for the response(s) and returns the decoded batch.
-func (f *InfoFuture) Wait() (NeighborBatch, error) {
-	return f.WaitCtx(context.Background())
-}
-
-// WaitCtx is Wait bounded by a context: it returns ctx.Err() as soon as ctx
-// ends, even with the response still in flight.
-func (f *InfoFuture) WaitCtx(ctx context.Context) (NeighborBatch, error) {
-	if f.batch != nil || f.err != nil {
-		return f.batch, f.err
-	}
-	if f.cached != nil {
-		return f.waitCached(ctx)
-	}
-	if f.aggTicket != nil {
-		infos, off, err := f.aggTicket.Wait(ctx)
+	if epoch != 0 {
+		// Epoch-pinned local read: rows resolve through the delta overlay
+		// (materialized mutated rows, patched degree columns) instead of
+		// the raw base CSR. Unmutated rows still alias shared memory.
+		if g.Delta == nil {
+			return readyFuture[cache.Row, NeighborBatch](nil, fmt.Errorf("core: epoch %d pinned but no delta store attached (shard %d)", epoch, dstShard))
+		}
+		vps, err := g.Delta.VertexProps(dstShard, locals, epoch)
 		if err != nil {
-			f.err = wrapPeerErr(f.dstShard, err)
-			return nil, f.err
+			return readyFuture[cache.Row, NeighborBatch](nil, err)
 		}
-		f.batch = &aggBatch{n: infos, off: off, rows: f.aggTicket.Rows()}
-		// This ticket's share of the flush's pooled payload is returned at
-		// f.Release, once the push consumed the rows.
-		f.release = f.aggTicket.Release
-		return f.batch, nil
+		return readyFuture[cache.Row](VPBatch(vps), nil)
 	}
-	switch f.mode {
-	case FetchBatchCompress:
-		fut := f.futures[0]
-		payload, err := fut.WaitCtx(ctx)
-		if err != nil {
-			f.err = wrapPeerErr(f.dstShard, err)
-			return nil, f.err
+	// Shared-memory path: VertexProp views, no serialization. Validate
+	// IDs to mirror the server-side checks.
+	for _, l := range locals {
+		if err := g.Local.CheckLocal(l); err != nil {
+			return readyFuture[cache.Row, NeighborBatch](nil, err)
 		}
-		var infos *wire.NeighborInfos
-		if f.zeroCopy {
-			// The decoded batch aliases the pooled response payload when the
-			// host allows it; the buffer goes home at f.Release (after the
-			// push consumed the rows). A misaligned payload falls back to a
-			// heap copy, so the buffer can go home immediately.
-			aliased := wire.CanAlias(payload)
-			infos, err = wire.DecodeCSRView(payload, nil)
-			if aliased && err == nil {
-				f.release = fut.Release
-			} else {
-				fut.Release()
-			}
-		} else {
-			infos, err = wire.DecodeCSR(payload)
-			fut.Release()
-		}
-		if err != nil {
-			f.err = wrapPeerErr(f.dstShard, err)
-			return nil, f.err
-		}
-		f.batch = InfosBatch(infos)
-	case FetchBatch:
-		fut := f.futures[0]
-		payload, err := fut.WaitCtx(ctx)
-		if err != nil {
-			f.err = wrapPeerErr(f.dstShard, err)
-			return nil, f.err
-		}
-		var infos *wire.NeighborInfos
-		if f.zeroCopy {
-			// The interleaved LoL layout cannot be aliased; the decode lands
-			// in a pooled arena instead, recycled at f.Release. The wire
-			// payload itself is done as soon as the decode finishes.
-			arena := mem.GetArena()
-			infos, err = wire.DecodeLoLView(payload, arena)
-			fut.Release()
-			if err != nil {
-				mem.PutArena(arena)
-			} else {
-				f.release = func() { mem.PutArena(arena) }
-			}
-		} else {
-			infos, err = wire.DecodeLoL(payload)
-			fut.Release()
-		}
-		if err != nil {
-			f.err = wrapPeerErr(f.dstShard, err)
-			return nil, f.err
-		}
-		f.batch = InfosBatch(infos)
-	case FetchSingle:
-		// One request-response round trip per vertex, strictly in order.
-		merged := &wire.NeighborInfos{Indptr: []int32{0}}
-		var arena *mem.Arena
-		if f.zeroCopy {
-			// Each response is decoded into a pooled arena reset per vertex:
-			// the merge below copies what it keeps, so nothing outlives the
-			// reset and the per-vertex decode stops allocating.
-			arena = mem.GetArena()
-			defer mem.PutArena(arena)
-		}
-		for _, l := range f.seqLocals {
-			payload, err := f.callOne(ctx, l)
-			if err != nil {
-				f.err = wrapPeerErr(f.dstShard, err)
-				return nil, f.err
-			}
-			var one *wire.NeighborInfos
-			if arena != nil {
-				arena.Reset()
-				one, err = wire.DecodeLoLView(payload, arena)
-			} else {
-				one, err = wire.DecodeLoL(payload)
-			}
-			if err != nil {
-				f.err = err
-				return nil, err
-			}
-			for i := 0; i < one.NumRows(); i++ {
-				l, s, w, d := one.Row(i)
-				merged.Locals = append(merged.Locals, l...)
-				merged.Shards = append(merged.Shards, s...)
-				merged.Weights = append(merged.Weights, w...)
-				merged.WDegs = append(merged.WDegs, d...)
-				merged.Indptr = append(merged.Indptr, int32(len(merged.Locals)))
-				merged.RowWDeg = append(merged.RowWDeg, one.RowWDeg[i])
-			}
-		}
-		f.batch = InfosBatch(merged)
 	}
-	return f.batch, f.err
-}
-
-// callOne fetches a single vertex's row, retrying transient failures when
-// the config opted in. With a replica router the retry policy is not used:
-// failover to a replica subsumes same-destination retries.
-func (f *InfoFuture) callOne(ctx context.Context, l int32) ([]byte, error) {
-	payload := wire.EncodeIDList([]int32{l})
-	if f.seqRouter != nil {
-		return f.seqRouter.Do(ctx, f.dstShard, rpc.MethodGetNeighborInfoOne, payload)
-	}
-	if f.retry.MaxAttempts == 0 {
-		return f.seqClient.SyncCallCtx(ctx, rpc.MethodGetNeighborInfoOne, payload)
-	}
-	p := f.retry
-	p.OnRetry = func(int, error) { f.retried++ }
-	return f.seqClient.CallRetry(ctx, rpc.MethodGetNeighborInfoOne, payload, p)
-}
-
-// wrapPeerErr attributes a remote-fetch failure to the destination shard
-// (the primary's machine index equals the shard index in this engine).
-// Waiter-side cancellations are not peer faults and pass through unwrapped;
-// router errors already carry the actual machine tried and are preserved.
-func wrapPeerErr(dstShard int32, err error) error {
-	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	return ha.WrapPeer(int(dstShard), dstShard, "", err)
+	return readyFuture[cache.Row](LocalBatch(g.Local, locals), nil)
 }
 
 // SampleFuture is the future for a sample_one_neighbor call.
 type SampleFuture struct {
 	resp *wire.SampleResponse
 	err  error
-	fut  respFuture
+	fut  agg.Response
 }
 
 // Wait blocks for the sampled neighbors.
@@ -706,643 +541,6 @@ func (f *SampleFuture) WaitCtx(ctx context.Context) (*wire.SampleResponse, error
 	return f.resp, f.err
 }
 
-// DistGraphStorage is a compute process's handle on the whole distributed
-// graph: direct shared-memory access to the local shard, RPC clients to the
-// others. It is the Go analogue of the Python object constructed from the
-// rrefs list in Figure 4.
-type DistGraphStorage struct {
-	ShardID   int32
-	NumShards int32
-	Local     *shard.Shard
-	Locator   *shard.Locator
-	Clients   []*rpc.Client // indexed by shard ID; Clients[ShardID] == nil
-
-	// LocalFeatures/FeatureDim give shared-memory access to the machine's
-	// feature block for the GNN case study (see AttachLocalFeatures).
-	LocalFeatures []float32
-	FeatureDim    int
-
-	// Cache, when non-nil, is the machine-wide dynamic cache of remote
-	// neighbor rows with single-flight fetch deduplication (see
-	// internal/cache and Config.CacheBytes). nil disables it, preserving
-	// the paper's ablation behavior exactly.
-	Cache *cache.Cache
-
-	// Aggs, when non-nil, holds the per-destination-shard cross-query fetch
-	// aggregators (indexed by shard ID; the local entry is nil). Like the
-	// cache, aggregators are machine-shared state: every compute process of
-	// a machine enqueues into the same pending batches, so concurrent
-	// queries' fetches to one shard merge into one wire request. nil
-	// disables aggregation (the default).
-	Aggs []*agg.Aggregator
-
-	// FeatCache, when non-nil, is the machine-wide cache of remote feature
-	// rows with single-flight deduplication and PPR-mass admission (see
-	// cache.FeatureCache and Config.FeatCacheBytes). nil disables it.
-	FeatCache *cache.FeatureCache
-
-	// FeatAggs, when non-nil, holds the per-destination-shard feature-fetch
-	// aggregators (indexed by shard ID; the local entry is nil) — the
-	// feature tier's analogue of Aggs, sharing the same window/row knobs.
-	FeatAggs []*agg.FeatureAggregator
-
-	// Router, when non-nil, carries every remote request through the
-	// replication layer: primary first, failover to a healthy replica on
-	// error/timeout/open breaker (see internal/ha). Like the cache and the
-	// aggregators it is machine-shared state. nil keeps the direct
-	// single-client paths, preserving the paper's behavior exactly.
-	Router *ha.ReplicaRouter
-
-	// Delta, when non-nil, is the machine-shared delta-CSR mutation store
-	// (internal/delta): queries pin one of its epochs and every fetch —
-	// local shared-memory reads included — resolves through the overlay as
-	// of that epoch. nil keeps the static base-CSR engine byte-for-byte.
-	Delta *delta.Store
-
-	// Admit, when non-nil, is the machine's admission controller
-	// (internal/admit): RunSSPPR claims an execution slot before any
-	// pop/push work and sheds queries that cannot meet their deadline or
-	// exceed their tenant's quota. Machine-shared state like the cache.
-	Admit *admit.Controller
-
-	// Hedger, when non-nil (requires Router), carries remote requests
-	// through hedged dispatch: a fetch whose primary has not answered within
-	// the hedge delay is also issued to a healthy replica, first response
-	// wins. nil keeps the plain routed (or direct) path.
-	Hedger *admit.Hedger
-
-	// Tracer records this machine's spans for sampled queries (nil when
-	// tracing is off — every use is nil-safe).
-	Tracer *obs.Tracer
-
-	// featZeroCopyOff disables view decoding of feature responses (the
-	// feature path has no per-query Config, so the zero-copy knob is
-	// structural; see SetFeatureZeroCopy). Zero — the default — aliases.
-	featZeroCopyOff int
-
-	// sampleZeroCopyOff disables view decoding of sampling responses and
-	// the arena-built local sampling path (the k-hop path has no per-query
-	// Config either; see SetSampleZeroCopy). Zero — the default — aliases.
-	sampleZeroCopyOff int
-}
-
-// zeroCopySamples reports whether sampling responses should be view-decoded.
-func (g *DistGraphStorage) zeroCopySamples() bool { return g.sampleZeroCopyOff == 0 }
-
-// SetSampleZeroCopy toggles view decoding for sampling responses and the
-// arena-built local sampling fast path. Like SetFeatureZeroCopy, flip it only
-// while the handle is quiescent.
-func (g *DistGraphStorage) SetSampleZeroCopy(on bool) {
-	if on {
-		g.sampleZeroCopyOff = 0
-	} else {
-		g.sampleZeroCopyOff = 1
-	}
-}
-
-// AttachCache installs the shared dynamic neighbor-row cache. Call once at
-// setup; like the shard, the cache is meant to be shared by every compute
-// handle of the machine.
-func (g *DistGraphStorage) AttachCache(c *cache.Cache) { g.Cache = c }
-
-// AttachAggregators installs a prebuilt per-shard aggregator slice (one
-// entry per shard, nil for the local shard). Cluster construction shares one
-// slice across all of a machine's compute handles so aggregation works
-// across processes, not just within one.
-func (g *DistGraphStorage) AttachAggregators(aggs []*agg.Aggregator) { g.Aggs = aggs }
-
-// AttachFetchAggregators builds one aggregator per remote client of this
-// handle and attaches them — the single-compute-process convenience
-// (cmd/pprquery, deploy.EnableQueries). agg.New returns nil for the nil
-// local client, which disables aggregation for the shared-memory shard.
-func (g *DistGraphStorage) AttachFetchAggregators(o agg.Options) {
-	if o.Tracer == nil {
-		// Flush spans belong to the same machine-local recorder as the rest
-		// of this handle's spans unless the caller wired one explicitly.
-		o.Tracer = g.Tracer
-	}
-	if g.Hedger != nil {
-		// Hedging applies to merged flushes too: a slow primary re-issues
-		// the whole flush to a replica. Attach the hedger first.
-		g.Aggs = HedgedAggregators(g.Hedger, g.NumShards, g.ShardID, o)
-		return
-	}
-	if g.Router != nil {
-		// With replication on, flushes must go through the router so a merged
-		// request fails over as a unit; attach the router first.
-		g.Aggs = RoutedAggregators(g.Router, g.NumShards, g.ShardID, o)
-		return
-	}
-	aggs := make([]*agg.Aggregator, len(g.Clients))
-	for i, c := range g.Clients {
-		aggs[i] = agg.New(c, o)
-	}
-	g.Aggs = aggs
-}
-
-// AttachFeatureCache installs the shared feature-row cache. Like the
-// neighbor-row cache it is machine-level shared state: attach the same
-// instance to every compute handle of a machine.
-func (g *DistGraphStorage) AttachFeatureCache(c *cache.FeatureCache) { g.FeatCache = c }
-
-// AttachFeatureAggregators installs a prebuilt per-shard feature-fetch
-// aggregator slice (one entry per shard, nil for the local shard), shared
-// across a machine's compute handles like Aggs.
-func (g *DistGraphStorage) AttachFeatureAggregators(aggs []*agg.FeatureAggregator) { g.FeatAggs = aggs }
-
-// AttachFeatureFetchAggregators builds one feature aggregator per remote
-// client (or per routed shard, with replication on) and attaches them — the
-// single-compute-process convenience mirroring AttachFetchAggregators.
-func (g *DistGraphStorage) AttachFeatureFetchAggregators(o agg.Options) {
-	if o.Tracer == nil {
-		o.Tracer = g.Tracer
-	}
-	if g.Hedger != nil {
-		g.FeatAggs = HedgedFeatureAggregators(g.Hedger, g.NumShards, g.ShardID, o)
-		return
-	}
-	if g.Router != nil {
-		g.FeatAggs = RoutedFeatureAggregators(g.Router, g.NumShards, g.ShardID, o)
-		return
-	}
-	aggs := make([]*agg.FeatureAggregator, len(g.Clients))
-	for i, c := range g.Clients {
-		aggs[i] = agg.NewFeature(c, o)
-	}
-	g.FeatAggs = aggs
-}
-
-// AttachDelta installs the machine-shared delta store on this compute
-// handle; epoch-pinned queries (Config.PinnedEpoch, or the driver's
-// admission-time pin) then resolve local rows and halo patches through it.
-func (g *DistGraphStorage) AttachDelta(s *delta.Store) { g.Delta = s }
-
-// AttachRouter installs the machine-shared replica router. Remote fetches,
-// samples, and stats calls then prefer the shard's primary and fail over to
-// replicas; the plain Clients slice stays in place for components that need
-// a direct connection.
-func (g *DistGraphStorage) AttachRouter(r *ha.ReplicaRouter) { g.Router = r }
-
-// AttachAdmission installs the machine-shared admission controller; the
-// driver then gates every RunSSPPR through it.
-func (g *DistGraphStorage) AttachAdmission(c *admit.Controller) { g.Admit = c }
-
-// AttachHedger installs the machine-shared request hedger. It also installs
-// the hedger's router when none is attached yet, so hedged and non-hedged
-// calls agree on the replica set.
-func (g *DistGraphStorage) AttachHedger(h *admit.Hedger) {
-	g.Hedger = h
-	if g.Router == nil && h != nil {
-		g.Router = h.Router()
-	}
-}
-
-// AttachTracer installs the machine's tracer on this compute handle.
-func (g *DistGraphStorage) AttachTracer(t *obs.Tracer) { g.Tracer = t }
-
-// call issues one remote request: hedged over the replica set when a hedger
-// is attached, through the router when replication is on, direct otherwise.
-// The direct path binds the request to ctx; the routed and hedged paths are
-// deliberately ctx-free (a failover attempt loop is shared state — the
-// waiter's ctx still applies via WaitCtx) but still carry ctx's trace
-// context so the attempt spans and the remote server join the query's trace.
-func (g *DistGraphStorage) call(ctx context.Context, dstShard int32, m rpc.Method, payload []byte) respFuture {
-	if g.Hedger != nil {
-		return g.Hedger.CallTraced(obs.FromContext(ctx), dstShard, m, payload)
-	}
-	if g.Router != nil {
-		return g.Router.CallTraced(obs.FromContext(ctx), dstShard, m, payload)
-	}
-	return g.Clients[dstShard].CallCtx(ctx, m, payload)
-}
-
-// routedTransport flushes one aggregator's batches through the replica
-// router, bound to the aggregator's destination shard.
-type routedTransport struct {
-	r     *ha.ReplicaRouter
-	shard int32
-}
-
-func (t routedTransport) Call(sc obs.SpanContext, m rpc.Method, payload []byte) agg.Response {
-	return t.r.CallTraced(sc, t.shard, m, payload)
-}
-
-// RoutedAggregators builds one fetch aggregator per shard whose flushes go
-// through the replica router (nil entry for localShard). Cluster and deploy
-// use it when both aggregation and replication are enabled, so a merged
-// flush fails over as a unit.
-func RoutedAggregators(r *ha.ReplicaRouter, numShards, localShard int32, o agg.Options) []*agg.Aggregator {
-	aggs := make([]*agg.Aggregator, numShards)
-	for s := int32(0); s < numShards; s++ {
-		if s == localShard {
-			continue
-		}
-		aggs[s] = agg.NewTransport(routedTransport{r: r, shard: s}, o)
-	}
-	return aggs
-}
-
-// RoutedFeatureAggregators builds one feature-fetch aggregator per shard
-// whose flushes go through the replica router (nil entry for localShard).
-func RoutedFeatureAggregators(r *ha.ReplicaRouter, numShards, localShard int32, o agg.Options) []*agg.FeatureAggregator {
-	aggs := make([]*agg.FeatureAggregator, numShards)
-	for s := int32(0); s < numShards; s++ {
-		if s == localShard {
-			continue
-		}
-		aggs[s] = agg.NewFeatureTransport(routedTransport{r: r, shard: s}, o)
-	}
-	return aggs
-}
-
-// hedgedTransport flushes one aggregator's batches through the hedger: a
-// merged flush whose primary is slow is re-issued to a replica as one unit,
-// exactly like a single fetch. Hedging sits below the aggregator's
-// single-flight merging, so the dedup semantics are untouched — one flush,
-// at most two wire attempts, one decoded response.
-type hedgedTransport struct {
-	h     *admit.Hedger
-	shard int32
-}
-
-func (t hedgedTransport) Call(sc obs.SpanContext, m rpc.Method, payload []byte) agg.Response {
-	return t.h.CallTraced(sc, t.shard, m, payload)
-}
-
-// HedgedAggregators builds one fetch aggregator per shard whose flushes go
-// through the hedger (nil entry for localShard).
-func HedgedAggregators(h *admit.Hedger, numShards, localShard int32, o agg.Options) []*agg.Aggregator {
-	aggs := make([]*agg.Aggregator, numShards)
-	for s := int32(0); s < numShards; s++ {
-		if s == localShard {
-			continue
-		}
-		aggs[s] = agg.NewTransport(hedgedTransport{h: h, shard: s}, o)
-	}
-	return aggs
-}
-
-// HedgedFeatureAggregators builds one feature-fetch aggregator per shard
-// whose flushes go through the hedger (nil entry for localShard).
-func HedgedFeatureAggregators(h *admit.Hedger, numShards, localShard int32, o agg.Options) []*agg.FeatureAggregator {
-	aggs := make([]*agg.FeatureAggregator, numShards)
-	for s := int32(0); s < numShards; s++ {
-		if s == localShard {
-			continue
-		}
-		aggs[s] = agg.NewFeatureTransport(hedgedTransport{h: h, shard: s}, o)
-	}
-	return aggs
-}
-
-// aggFor returns the aggregator for dstShard, or nil when disabled.
-func (g *DistGraphStorage) aggFor(dstShard int32) *agg.Aggregator {
-	if g.Aggs == nil {
-		return nil
-	}
-	return g.Aggs[dstShard]
-}
-
-// featAggFor returns the feature aggregator for dstShard, or nil.
-func (g *DistGraphStorage) featAggFor(dstShard int32) *agg.FeatureAggregator {
-	if g.FeatAggs == nil {
-		return nil
-	}
-	return g.FeatAggs[dstShard]
-}
-
-// NewDistGraphStorage assembles a handle. clients must have one entry per
-// shard; the local entry may be nil.
-func NewDistGraphStorage(shardID int32, local *shard.Shard, loc *shard.Locator, clients []*rpc.Client) *DistGraphStorage {
-	return &DistGraphStorage{
-		ShardID:   shardID,
-		NumShards: int32(len(clients)),
-		Local:     local,
-		Locator:   loc,
-		Clients:   clients,
-	}
-}
-
-// GetNeighborInfos fetches neighbor information for core vertices of
-// dstShard. Local requests resolve immediately via shared memory; remote
-// requests return a pending future issued under ctx — when ctx ends, the
-// future resolves to ctx.Err(). mode selects the RPC strategy; cfg's retry
-// policy applies to the sequential mode only.
-func (g *DistGraphStorage) GetNeighborInfos(ctx context.Context, dstShard int32, locals []int32, cfg Config) *InfoFuture {
-	epoch := cfg.PinnedEpoch
-	if dstShard == g.ShardID {
-		if epoch != 0 {
-			// Epoch-pinned local read: rows resolve through the delta overlay
-			// (materialized mutated rows, patched degree columns) instead of
-			// the raw base CSR. Unmutated rows still alias shared memory.
-			if g.Delta == nil {
-				return &InfoFuture{err: fmt.Errorf("core: epoch %d pinned but no delta store attached (shard %d)", epoch, dstShard)}
-			}
-			vps, err := g.Delta.VertexProps(dstShard, locals, epoch)
-			if err != nil {
-				return &InfoFuture{err: err}
-			}
-			return &InfoFuture{batch: VPBatch(vps)}
-		}
-		// Shared-memory path: VertexProp views, no serialization. Validate
-		// IDs to mirror the server-side checks.
-		for _, l := range locals {
-			if err := g.Local.CheckLocal(l); err != nil {
-				return &InfoFuture{err: err}
-			}
-		}
-		return &InfoFuture{batch: LocalBatch(g.Local, locals)}
-	}
-	c := g.Clients[dstShard]
-	if c == nil && g.Router == nil {
-		return &InfoFuture{err: fmt.Errorf("core: no client for shard %d", dstShard)}
-	}
-	if g.Cache != nil {
-		return g.getNeighborInfosCached(obs.FromContext(ctx), dstShard, locals, cfg)
-	}
-	if ag := g.aggFor(dstShard); ag != nil {
-		// Cross-query aggregation: the fetch joins the machine-wide pending
-		// batch for dstShard and resolves from its row range of the merged
-		// CSR response. Like the cache path, the flush is issued without the
-		// query's ctx (it is shared state; WaitCtx still honors ctx for this
-		// waiter) and always batches CSR, even under the Single/LoL modes.
-		// Batches are epoch-pure: enqueueing at a different epoch than the
-		// pending batch flushes it first (see agg.EnqueueTracedAt).
-		return &InfoFuture{dstShard: dstShard, aggTicket: ag.EnqueueTracedAt(obs.FromContext(ctx), epoch, locals), remoteRows: int64(len(locals))}
-	}
-	switch cfg.Mode {
-	case FetchBatchCompress:
-		method := rpc.MethodGetNeighborInfos
-		var payload []byte
-		if epoch != 0 {
-			// Epoch-pinned remote fetch: same CSR response shape, resolved
-			// through the destination machine's delta store as of epoch.
-			method = rpc.MethodGetNeighborInfosAt
-			payload = wire.EncodeIDListAt(epoch, locals)
-		} else {
-			payload = wire.EncodeIDList(locals)
-		}
-		return &InfoFuture{mode: cfg.Mode, dstShard: dstShard, remoteRows: int64(len(locals)), rpcReqs: 1, reqBytes: int64(len(payload)), zeroCopy: cfg.ZeroCopy,
-			futures: []respFuture{g.call(ctx, dstShard, method, payload)}}
-	case FetchBatch:
-		if epoch != 0 {
-			return &InfoFuture{err: fmt.Errorf("core: epoch-pinned fetches require FetchBatchCompress (mode %v, epoch %d)", cfg.Mode, epoch)}
-		}
-		payload := wire.EncodeIDList(locals)
-		return &InfoFuture{mode: cfg.Mode, dstShard: dstShard, remoteRows: int64(len(locals)), rpcReqs: 1, reqBytes: int64(len(payload)), zeroCopy: cfg.ZeroCopy,
-			futures: []respFuture{g.call(ctx, dstShard, rpc.MethodGetNeighborInfosLoL, payload)}}
-	default: // FetchSingle: sequential per-vertex round trips (see WaitCtx)
-		if epoch != 0 {
-			return &InfoFuture{err: fmt.Errorf("core: epoch-pinned fetches require FetchBatchCompress (mode %v, epoch %d)", cfg.Mode, epoch)}
-		}
-		// One 8-byte single-ID request per vertex (retries excluded; the
-		// Retries counter tracks those separately).
-		return &InfoFuture{mode: FetchSingle, dstShard: dstShard, remoteRows: int64(len(locals)),
-			rpcReqs: int64(len(locals)), reqBytes: 8 * int64(len(locals)), zeroCopy: cfg.ZeroCopy,
-			seqClient: c, seqRouter: g.Router, seqLocals: locals, retry: cfg.Retry}
-	}
-}
-
-// cachedFetch is the per-future state of a cache-mediated remote fetch:
-// row i of the eventual batch corresponds to the i-th requested local ID and
-// is either a cache hit (filled at issue time) or resolved through a Flight.
-type cachedFetch struct {
-	rows    []cache.Row
-	flights []*cache.Flight // nil at hit indices
-}
-
-// fetchGroup decodes one leader RPC response and fulfills the flights of
-// every row it carries. resolve is idempotent and safe to call from any
-// participant — the leader's wait path or any coalesced waiter that saw the
-// response land first (see cache.Flight.AttachSource).
-type fetchGroup struct {
-	fut  respFuture
-	csr  bool
-	zc   bool // view decoders + pooled-buffer lifecycle (Config.ZeroCopy)
-	once sync.Once
-	// flights[i] is the flight for the i-th requested row.
-	flights []*cache.Flight
-}
-
-// resolve must only be called after fut resolved (its Done channel closed).
-func (fg *fetchGroup) resolve() {
-	fg.once.Do(func() {
-		payload, err := fg.fut.Wait()
-		if err != nil {
-			fg.fut.Release()
-			fg.fail(err)
-			return
-		}
-		// The flights copy each row into cache-owned storage (copyRow), so
-		// the response payload and decode arena go home as soon as the demux
-		// below finishes — the response is decoded exactly once, here, and
-		// every waiter (leader and coalesced alike) reads the cache rows.
-		var infos *wire.NeighborInfos
-		var arena *mem.Arena
-		if fg.zc {
-			if fg.csr {
-				infos, err = wire.DecodeCSRView(payload, nil)
-			} else {
-				arena = mem.GetArena()
-				infos, err = wire.DecodeLoLView(payload, arena)
-			}
-		} else if fg.csr {
-			infos, err = wire.DecodeCSR(payload)
-		} else {
-			infos, err = wire.DecodeLoL(payload)
-		}
-		defer func() {
-			fg.fut.Release()
-			mem.PutArena(arena)
-		}()
-		if err != nil {
-			fg.fail(err)
-			return
-		}
-		if infos.NumRows() != len(fg.flights) {
-			fg.fail(fmt.Errorf("core: cache fetch returned %d rows, want %d", infos.NumRows(), len(fg.flights)))
-			return
-		}
-		for i, fl := range fg.flights {
-			fl.Fulfill(copyRow(infos, i), nil)
-		}
-	})
-}
-
-func (fg *fetchGroup) fail(err error) {
-	for _, fl := range fg.flights {
-		fl.Fulfill(cache.Row{}, err)
-	}
-}
-
-// copyRow copies batch row i into cache-owned storage, so a cached hub row
-// does not pin the whole decoded response. One int32 and one float32 backing
-// array serve all four slices.
-func copyRow(infos *wire.NeighborInfos, i int) cache.Row {
-	l, s, w, d := infos.Row(i)
-	deg := len(l)
-	ints := make([]int32, 2*deg)
-	floats := make([]float32, 2*deg)
-	r := cache.Row{
-		Locals:  ints[:deg:deg],
-		Shards:  ints[deg:],
-		Weights: floats[:deg:deg],
-		WDegs:   floats[deg:],
-		WDeg:    infos.RowWDeg[i],
-	}
-	copy(r.Locals, l)
-	copy(r.Shards, s)
-	copy(r.Weights, w)
-	copy(r.WDegs, d)
-	return r
-}
-
-// getNeighborInfosCached serves a remote fetch through the shared cache:
-// hits resolve from memory immediately; misses elect one single-flight
-// leader per vertex, and this future issues exactly one RPC covering the
-// rows it leads. Coalesced rows ride on other queries' in-flight fetches.
-//
-// The leader RPC is deliberately issued without the query's context: the
-// fetch is shared machine-wide state, and a query abandoning its wait (the
-// per-waiter ctx in WaitCtx still honors cancellation) must not kill a
-// response that other queries — and the cache — are waiting on. The wire
-// format follows cfg.Mode (CSR for FetchBatchCompress, list-of-lists
-// otherwise; the cache path always batches, even under FetchSingle).
-func (g *DistGraphStorage) getNeighborInfosCached(sc obs.SpanContext, dstShard int32, locals []int32, cfg Config) *InfoFuture {
-	cf := &cachedFetch{
-		rows:    make([]cache.Row, len(locals)),
-		flights: make([]*cache.Flight, len(locals)),
-	}
-	f := &InfoFuture{dstShard: dstShard, cached: cf, tr: g.Tracer, sc: sc}
-	epoch := cfg.PinnedEpoch
-	var leaderLocals []int32
-	var leaderFlights []*cache.Flight
-	for i, l := range locals {
-		// Cache keys carry the epoch, so a row cached at one epoch is never
-		// returned to a query pinned at another (internal/cache).
-		row, hit, fl, leader := g.Cache.GetOrReserveAt(dstShard, l, epoch)
-		switch {
-		case hit:
-			cf.rows[i] = row
-			f.cacheHits++
-		case leader:
-			cf.flights[i] = fl
-			leaderLocals = append(leaderLocals, l)
-			leaderFlights = append(leaderFlights, fl)
-		default:
-			cf.flights[i] = fl
-			f.cacheCoalesced++
-		}
-	}
-	f.remoteRows = int64(len(leaderLocals))
-	if len(leaderLocals) > 0 {
-		if ag := g.aggFor(dstShard); ag != nil {
-			// Cache and aggregator compose: the cache already deduplicated
-			// IDENTICAL rows (hits and coalesced flights above); the rows
-			// this query leads are DISTINCT, and the aggregator merges them
-			// with other queries' leader rows bound for the same shard.
-			t := ag.EnqueueTracedAt(sc, epoch, leaderLocals)
-			f.aggTicket = t
-			ar := &aggResolver{t: t, flights: leaderFlights}
-			for _, fl := range leaderFlights {
-				fl.AttachSource(t.Done(), ar.resolve)
-			}
-		} else {
-			method := rpc.MethodGetNeighborInfosLoL
-			csr := cfg.Mode == FetchBatchCompress
-			if csr {
-				method = rpc.MethodGetNeighborInfos
-			}
-			payload := wire.EncodeIDList(leaderLocals)
-			if epoch != 0 {
-				// Epoch-pinned leader fetch: the epoch-stamped method always
-				// answers in the CSR shape.
-				method, csr = rpc.MethodGetNeighborInfosAt, true
-				payload = wire.EncodeIDListAt(epoch, leaderLocals)
-			}
-			f.rpcReqs = 1
-			f.reqBytes = int64(len(payload))
-			fg := &fetchGroup{
-				// Leader RPCs are shared state (see doc comment), so the
-				// direct and routed paths both issue without a query ctx —
-				// but the trace context still rides the request frame.
-				fut:     g.call(obs.ContextWith(context.Background(), sc), dstShard, method, payload),
-				csr:     csr,
-				zc:      cfg.ZeroCopy,
-				flights: leaderFlights,
-			}
-			for _, fl := range leaderFlights {
-				fl.AttachSource(fg.fut.Done(), fg.resolve)
-			}
-		}
-	}
-	return f
-}
-
-// aggResolver fulfills a cached fetch's leader flights from its aggregator
-// ticket's row range. Like fetchGroup.resolve it is idempotent and driven by
-// whichever participant observes the ticket resolve first, so an abandoned
-// leader never strands coalesced waiters.
-type aggResolver struct {
-	t       *agg.Ticket
-	once    sync.Once
-	flights []*cache.Flight
-}
-
-// resolve must only be called after the ticket's Done channel closed.
-func (ar *aggResolver) resolve() {
-	ar.once.Do(func() {
-		infos, off, err := ar.t.Result()
-		if err != nil {
-			ar.t.Release()
-			for _, fl := range ar.flights {
-				fl.Fulfill(cache.Row{}, err)
-			}
-			return
-		}
-		for i, fl := range ar.flights {
-			fl.Fulfill(copyRow(infos, off+i), nil)
-		}
-		// Rows are now cache-owned copies; this ticket's share of the flush
-		// payload goes home. The resolver — not the issuing InfoFuture — owns
-		// the cached path's ticket, so an abandoned leader query still
-		// returns the buffer.
-		ar.t.Release()
-	})
-}
-
-// waitCached assembles the batch for a cache-mediated fetch: hits are
-// already in place; every other row waits on its flight under ctx. When the
-// query is traced and at least one row is in flight, the wait is timed as a
-// "cache:wait" span — the time this query spent blocked on its own leader
-// RPC or on another query's in-flight fetch.
-func (f *InfoFuture) waitCached(ctx context.Context) (NeighborBatch, error) {
-	cf := f.cached
-	var span obs.ActiveSpan
-	waiting := false
-	for i, fl := range cf.flights {
-		if fl == nil {
-			continue // cache hit, filled at issue time
-		}
-		if !waiting {
-			waiting = true
-			span = f.tr.StartSpan(f.sc, "cache:wait")
-			span.SetShard(f.dstShard)
-		}
-		row, err := fl.Wait(ctx)
-		if err != nil {
-			f.err = wrapPeerErr(f.dstShard, err)
-			span.SetErr(true)
-			span.End()
-			return nil, f.err
-		}
-		cf.rows[i] = row
-	}
-	span.End()
-	f.batch = &rowBatch{rows: cf.rows}
-	return f.batch, nil
-}
-
 // GetShardStats retrieves statistics about any shard — locally via a direct
 // scan, remotely via RPC.
 func (g *DistGraphStorage) GetShardStats(dstShard int32) (*wire.ShardStats, error) {
@@ -1359,10 +557,7 @@ func (g *DistGraphStorage) GetShardStats(dstShard int32) (*wire.ShardStats, erro
 			AvgOutDegree: st.AvgOutDegree,
 		}, nil
 	}
-	if g.Clients[dstShard] == nil && g.Router == nil {
-		return nil, fmt.Errorf("core: no client for shard %d", dstShard)
-	}
-	fut := g.call(context.Background(), dstShard, rpc.MethodGetShardStats, nil)
+	fut := g.Transport(context.Background(), dstShard, rpc.MethodGetShardStats, nil)
 	payload, err := fut.Wait()
 	if err != nil {
 		fut.Release()
@@ -1381,9 +576,6 @@ func (g *DistGraphStorage) SampleOneNeighbor(ctx context.Context, dstShard int32
 		resp, err := SampleOneNeighborLocal(g.Local, g.Locator, locals, seed)
 		return &SampleFuture{resp: resp, err: err}
 	}
-	if g.Clients[dstShard] == nil && g.Router == nil {
-		return &SampleFuture{err: fmt.Errorf("core: no client for shard %d", dstShard)}
-	}
 	payload := wire.EncodeSampleRequest(&wire.SampleRequest{Seed: seed, Locals: locals})
-	return &SampleFuture{fut: g.call(ctx, dstShard, rpc.MethodSampleOneNeighbor, payload)}
+	return &SampleFuture{fut: g.Transport(ctx, dstShard, rpc.MethodSampleOneNeighbor, payload)}
 }

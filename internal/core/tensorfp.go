@@ -81,12 +81,17 @@ func RunTensorSSPPR(ctx context.Context, g *DistGraphStorage, sourceLocal int32,
 			}
 			fut := g.GetNeighborInfos(ctx, j, byShard[j], cfg)
 			remotes = append(remotes, pending{j, fut})
-			stats.RemoteRows += fut.RemoteRows()
-			stats.CacheHits += fut.CacheHits()
-			stats.CacheCoalesced += fut.CacheCoalesced()
+			stats.RemoteRows += fut.RemoteRows
+			stats.CacheHits += fut.CacheHits
+			stats.CacheCoalesced += fut.CacheCoalesced
 		}
 		stopIssue()
 
+		account := func(fut *InfoFuture) {
+			reqs, bytes, _ := fut.Wire()
+			stats.RPCRequests += reqs
+			stats.RequestBytes += bytes
+		}
 		pushBatch := func(batch NeighborBatch, globals []int32) {
 			for i := 0; i < batch.NumRows(); i++ {
 				// The list-of-lists response format forces the tensor
@@ -132,8 +137,7 @@ func RunTensorSSPPR(ctx context.Context, g *DistGraphStorage, sourceLocal int32,
 			bd.Time(metrics.PhaseLocalFetch, func() {
 				fut := g.GetNeighborInfos(ctx, self, byShard[self], cfg)
 				batch, err = fut.WaitCtx(ctx)
-				stats.RPCRequests += fut.RPCRequests()
-				stats.RequestBytes += fut.RequestBytes()
+				account(fut)
 			})
 			if err != nil {
 				return err
@@ -152,8 +156,7 @@ func RunTensorSSPPR(ctx context.Context, g *DistGraphStorage, sourceLocal int32,
 				var err error
 				bd.Time(metrics.PhaseRemoteFetch, func() {
 					batch, err = pd.fut.WaitCtx(ctx)
-					stats.RPCRequests += pd.fut.RPCRequests()
-					stats.RequestBytes += pd.fut.RequestBytes()
+					account(pd.fut)
 				})
 				if err != nil {
 					return nil, stats, err
@@ -166,8 +169,7 @@ func RunTensorSSPPR(ctx context.Context, g *DistGraphStorage, sourceLocal int32,
 				var err error
 				bd.Time(metrics.PhaseRemoteFetch, func() {
 					batches[i], err = pd.fut.WaitCtx(ctx)
-					stats.RPCRequests += pd.fut.RPCRequests()
-					stats.RequestBytes += pd.fut.RequestBytes()
+					account(pd.fut)
 				})
 				if err != nil {
 					return nil, stats, err

@@ -96,11 +96,11 @@ func NewStore(loc *shard.Locator, bases map[int32]*shard.Shard) *Store {
 		bs[sh] = b
 	}
 	return &Store{
-		loc:   loc,
-		bases: bs,
-		rows:  make(map[Key][]rowV),
-		wdeg:  make(map[Key][]wdegV),
-		newV:  make(map[Key]graph.NodeID),
+		loc:    loc,
+		bases:  bs,
+		rows:   make(map[Key][]rowV),
+		wdeg:   make(map[Key][]wdegV),
+		newV:   make(map[Key]graph.NodeID),
 		log:    make(map[uint64][]Key),
 		pins:   make(map[uint64]int),
 		kick:   make(chan struct{}, 1),
@@ -383,10 +383,16 @@ func (s *Store) rowAtLocked(k Key, e uint64) (shard.VertexProp, bool) {
 			return s.patchVPLocked(vp, k, e), true
 		}
 	}
-	if k.Local < s.loc.BaseCoreCount(k.Shard) {
-		if base := s.bases[k.Shard]; base != nil {
+	if base := s.bases[k.Shard]; base != nil {
+		// The base's own core count bounds what it answers, not the locator's
+		// preprocessing-time one: a compaction bakes appended vertices into the
+		// base as real core rows and drops their chains.
+		if k.Local >= 0 && int(k.Local) < base.NumCore() {
 			return s.patchVPLocked(base.VertexProp(k.Local), k, e), true
 		}
+		return shard.VertexProp{}, false
+	}
+	if k.Local < s.loc.BaseCoreCount(k.Shard) {
 		for _, b := range s.bases {
 			if vp, ok := b.HaloRow(k.Shard, k.Local); ok {
 				return s.patchVPLocked(vp, k, e), true
@@ -455,6 +461,9 @@ func (s *Store) CheckLocalAt(sh, local int32, e uint64) error {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if base := s.bases[sh]; base != nil && int(local) < base.NumCore() {
+		return nil // appended, since baked into the base by a compaction
+	}
 	for _, v := range s.rows[Key{sh, local}] {
 		if v.epoch <= e {
 			return nil

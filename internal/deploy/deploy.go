@@ -15,11 +15,12 @@ import (
 	"strings"
 	"time"
 
-	"pprengine/internal/admit"
-	"pprengine/internal/cache"
 	"pprengine/internal/core"
+	"pprengine/internal/ha"
+	"pprengine/internal/obs"
 	"pprengine/internal/rpc"
 	"pprengine/internal/shard"
+	"pprengine/internal/stack"
 )
 
 // DefaultDialTimeout bounds peer dials when the caller's context carries no
@@ -59,85 +60,114 @@ func Serve(shardPath, locatorPath, listenAddr string) (*core.StorageServer, stri
 	return srv, lis.Addr().String(), nil
 }
 
-// EnableQueries upgrades a running storage server into a query owner: it
-// connects a compute handle to the given peers and registers the SSPPR
-// query handler, so thin clients can dispatch queries for this shard's core
-// vertices. The compute handle is returned so the serving process can run
-// higher tiers on it (the GNN inference service); the returned cleanup
-// closes the peer clients. ctx bounds the peer dials (DefaultDialTimeout
-// applies when it has no deadline).
-func EnableQueries(ctx context.Context, srv *core.StorageServer, peers map[int32]string, cfg core.Config, lat rpc.LatencyModel) (*core.DistGraphStorage, func(), error) {
-	k := srv.Shard.NumShards
+// dialPeers opens one direct connection per remote shard of a k-shard
+// deployment (the local entry stays nil). On failure everything already
+// opened is closed.
+func dialPeers(ctx context.Context, local, k int32, peers map[int32]string, lat rpc.LatencyModel) ([]*rpc.Client, error) {
 	clients := make([]*rpc.Client, k)
-	var opened []*rpc.Client
-	cleanup := func() {
-		for _, c := range opened {
-			c.Close()
-		}
-	}
 	for j := int32(0); j < k; j++ {
-		if j == srv.Shard.ShardID {
+		if j == local {
 			continue
 		}
 		addr, ok := peers[j]
+		var err error
 		if !ok {
-			cleanup()
-			return nil, nil, fmt.Errorf("deploy: query service needs a peer address for shard %d", j)
+			err = fmt.Errorf("deploy: no peer address for shard %d", j)
+		} else if clients[j], err = dialPeer(ctx, addr, lat); err != nil {
+			err = fmt.Errorf("deploy: dial shard %d at %s: %w", j, addr, err)
 		}
-		c, err := dialPeer(ctx, addr, lat)
 		if err != nil {
-			cleanup()
-			return nil, nil, fmt.Errorf("deploy: dial shard %d at %s: %w", j, addr, err)
+			for _, c := range clients {
+				if c != nil {
+					c.Close()
+				}
+			}
+			return nil, err
 		}
-		clients[j] = c
-		opened = append(opened, c)
 	}
-	compute := core.NewDistGraphStorage(srv.Shard.ShardID, srv.Shard, srv.Locator, clients)
+	return clients, nil
+}
+
+// connect assembles this process's one-handle machine (stack.Build) over
+// single-address peers, or — when any shard lists replicas — over a replica
+// router; the two differ only in what they hand the builder.
+func connect(ctx context.Context, s *shard.Shard, loc *shard.Locator, peers map[int32][]string, mcfg stack.Config, tracer *obs.Tracer, haOpts ha.Options, lat rpc.LatencyModel) (*stack.Machine, error) {
+	spec := stack.Spec{Local: s, Locator: loc, Tracer: tracer, HA: haOpts, Latency: lat}
+	if !Replicated(peers) {
+		clients, err := dialPeers(ctx, s.ShardID, s.NumShards, PrimaryPeers(peers), lat)
+		if err != nil {
+			return nil, err
+		}
+		spec.Clients = [][]*rpc.Client{clients}
+		return stack.Build(mcfg, spec), nil
+	}
+	spec.Clients = [][]*rpc.Client{make([]*rpc.Client, s.NumShards)}
+	spec.Serving = make([][]stack.Peer, s.NumShards)
+	for j := int32(0); j < s.NumShards; j++ {
+		if j == s.ShardID {
+			continue
+		}
+		if len(peers[j]) == 0 {
+			return nil, fmt.Errorf("deploy: no serving address for shard %d", j)
+		}
+		for i, addr := range peers[j] {
+			// The primary of shard j is machine j by the owner-compute
+			// convention; replica hosts are only known by address here, and
+			// addresses are the health keys.
+			machine := -1
+			if i == 0 {
+				machine = int(j)
+			}
+			spec.Serving[j] = append(spec.Serving[j], stack.Peer{Machine: machine, Addr: addr})
+		}
+	}
+	m := stack.Build(mcfg, spec)
+	for j := int32(0); j < s.NumShards; j++ {
+		if j == s.ShardID {
+			continue
+		}
+		// Fail fast only when NO copy of the shard is reachable: a dead
+		// primary with a live replica is exactly the situation replication
+		// exists for, and must not block bootstrap. Probing adopts whichever
+		// endpoints come up later.
+		var lastErr error
+		for _, ep := range m.Router.Endpoints(j) {
+			if _, lastErr = ep.Client(ctx); lastErr == nil {
+				break
+			}
+		}
+		if lastErr != nil {
+			m.Close()
+			return nil, fmt.Errorf("deploy: no serving copy of shard %d reachable (last: %w)", j, lastErr)
+		}
+	}
+	return m, nil
+}
+
+// EnableQueries upgrades a running storage server into a query owner: it
+// assembles the machine's fetch stack over the given peers (each shard's
+// serving addresses, primary first; more than one address anywhere routes
+// remote requests through a ReplicaRouter, so served queries survive a peer
+// machine's crash) and registers the SSPPR query handler, so thin clients
+// can dispatch queries for this shard's core vertices. mcfg configures the
+// machine, cfg the served queries' defaults. The machine is returned so the
+// serving process can run higher tiers on its handle (the GNN inference
+// service) and wire its router's and admission controller's ReadyCheck into
+// an admin server; closing it stops probing and closes every connection. ctx
+// bounds the peer dials (DefaultDialTimeout applies when it has no deadline).
+func EnableQueries(ctx context.Context, srv *core.StorageServer, peers map[int32][]string, mcfg stack.Config, cfg core.Config, haOpts ha.Options, lat rpc.LatencyModel) (*stack.Machine, error) {
 	// The owner's compute handle shares the server's tracer (nil when tracing
 	// is off), so a served query's driver-side spans land in the same ring
 	// buffer as the server's rpc spans.
-	compute.AttachTracer(srv.Tracer())
-	if cfg.CacheBytes > 0 {
-		// The owner's compute handle gets its own dynamic neighbor-row cache:
-		// queries for this shard's sources repeatedly touch the same remote
-		// hubs, which is exactly the access pattern the cache serves.
-		compute.AttachCache(cache.New(cfg.CacheBytes))
+	m, err := connect(ctx, srv.Shard, srv.Locator, peers, mcfg, srv.Tracer(), haOpts, lat)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.AggEnabled() {
-		// One fetch aggregator per remote peer: the query service runs many
-		// clients' queries concurrently on this handle, so their per-shard
-		// fetches coalesce into merged wire requests.
-		compute.AttachFetchAggregators(cfg.AggOptions())
+	if err := srv.EnableQueryService(m.Handles[0], cfg); err != nil {
+		m.Close()
+		return nil, err
 	}
-	attachFeatureTier(compute, cfg)
-	attachAdmission(compute, cfg)
-	if err := srv.EnableQueryService(compute, cfg); err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	return compute, cleanup, nil
-}
-
-// attachFeatureTier wires the feature-row cache and feature-fetch
-// aggregators onto a compute handle from the config knobs — the serving
-// tier's analogue of the neighbor cache/agg attachment above.
-func attachFeatureTier(compute *core.DistGraphStorage, cfg core.Config) {
-	if cfg.FeatCacheBytes > 0 {
-		compute.AttachFeatureCache(cache.NewFeatures(cfg.FeatCacheBytes, cfg.FeatAdmitMass))
-	}
-	if cfg.AggEnabled() {
-		compute.AttachFeatureFetchAggregators(cfg.AggOptions())
-	}
-}
-
-// attachAdmission wires an admission controller onto a serving compute
-// handle from the config knobs. The controller stays reachable as
-// compute.Admit, so the serving process can expose its ReadyCheck and
-// Snapshot through an admin server.
-func attachAdmission(compute *core.DistGraphStorage, cfg core.Config) {
-	if cfg.AdmitEnabled() {
-		compute.AttachAdmission(admit.NewController(cfg.AdmitOptions()))
-	}
+	return m, nil
 }
 
 // ConnectThin builds a thin query client: no local shard, just connections
@@ -207,44 +237,19 @@ func FormatPeers(peers map[int32]string) string {
 	return strings.Join(parts, ",")
 }
 
-// Connect builds a compute-process handle: the local shard is loaded from
-// disk (shared memory in a real deployment) and every other shard is
-// reached through its peer address. The returned cleanup closes all
-// clients. ctx bounds the peer dials (DefaultDialTimeout applies when it
-// has no deadline).
-func Connect(ctx context.Context, shardPath, locatorPath string, peers map[int32]string, lat rpc.LatencyModel) (*core.DistGraphStorage, func(), error) {
+// Connect builds a compute process's machine: the local shard is loaded from
+// disk (shared memory in a real deployment), every other shard is reached
+// through its serving addresses (see EnableQueries), and mcfg's stages sit in
+// front. Closing the machine closes every connection. ctx bounds the peer
+// dials (DefaultDialTimeout applies when it has no deadline).
+func Connect(ctx context.Context, shardPath, locatorPath string, peers map[int32][]string, mcfg stack.Config, haOpts ha.Options, lat rpc.LatencyModel) (*stack.Machine, error) {
 	s, err := shard.LoadFile(shardPath)
 	if err != nil {
-		return nil, nil, fmt.Errorf("deploy: load shard: %w", err)
+		return nil, fmt.Errorf("deploy: load shard: %w", err)
 	}
 	loc, err := shard.LoadLocatorFile(locatorPath)
 	if err != nil {
-		return nil, nil, fmt.Errorf("deploy: load locator: %w", err)
+		return nil, fmt.Errorf("deploy: load locator: %w", err)
 	}
-	k := s.NumShards
-	clients := make([]*rpc.Client, k)
-	var opened []*rpc.Client
-	cleanup := func() {
-		for _, c := range opened {
-			c.Close()
-		}
-	}
-	for j := int32(0); j < k; j++ {
-		if j == s.ShardID {
-			continue
-		}
-		addr, ok := peers[j]
-		if !ok {
-			cleanup()
-			return nil, nil, fmt.Errorf("deploy: no peer address for shard %d", j)
-		}
-		c, err := dialPeer(ctx, addr, lat)
-		if err != nil {
-			cleanup()
-			return nil, nil, fmt.Errorf("deploy: dial shard %d at %s: %w", j, addr, err)
-		}
-		clients[j] = c
-		opened = append(opened, c)
-	}
-	return core.NewDistGraphStorage(s.ShardID, s, loc, clients), cleanup, nil
+	return connect(ctx, s, loc, peers, mcfg, haOpts.Tracer, haOpts, lat)
 }

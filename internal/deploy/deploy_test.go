@@ -16,6 +16,7 @@ import (
 	"pprengine/internal/ppr"
 	"pprengine/internal/rpc"
 	"pprengine/internal/shard"
+	"pprengine/internal/stack"
 )
 
 // writeDeployment partitions a graph and writes shard + locator files.
@@ -108,21 +109,22 @@ func TestFileBasedDeploymentEndToEnd(t *testing.T) {
 	locPath := filepath.Join(dir, "locator.bin")
 
 	// Start servers for shards 1 and 2 (shard 0 is "this machine").
-	peers := map[int32]string{}
+	peers := map[int32][]string{}
 	for i := 1; i < k; i++ {
 		srv, addr, err := Serve(filepath.Join(dir, fmt.Sprintf("shard-%d.bin", i)), locPath, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		peers[int32(i)] = addr
+		peers[int32(i)] = []string{addr}
 	}
 
-	st, cleanup, err := Connect(context.Background(), filepath.Join(dir, "shard-0.bin"), locPath, peers, rpc.LatencyModel{})
+	machine, err := Connect(context.Background(), filepath.Join(dir, "shard-0.bin"), locPath, peers, stack.Config{}, ha.Options{}, rpc.LatencyModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
+	defer machine.Close()
+	st := machine.Handles[0]
 
 	src := st.Locator.Global(0, 4)
 	m, stats, err := core.RunSSPPR(context.Background(), st, 4, core.DefaultConfig(), nil)
@@ -150,8 +152,8 @@ func TestFileBasedDeploymentEndToEnd(t *testing.T) {
 func TestConnectMissingPeer(t *testing.T) {
 	g := graph.MakeUndirected(graph.ErdosRenyi(100, 500, 4))
 	dir := writeDeployment(t, g, 2)
-	_, _, err := Connect(context.Background(), filepath.Join(dir, "shard-0.bin"), filepath.Join(dir, "locator.bin"),
-		map[int32]string{}, rpc.LatencyModel{})
+	_, err := Connect(context.Background(), filepath.Join(dir, "shard-0.bin"), filepath.Join(dir, "locator.bin"),
+		map[int32][]string{}, stack.Config{}, ha.Options{}, rpc.LatencyModel{})
 	if err == nil {
 		t.Fatal("expected missing-peer error")
 	}
@@ -262,10 +264,10 @@ func TestPlanReplicas(t *testing.T) {
 	}
 }
 
-// TestConnectHAFailover is the file-based deployment's failover test: two
+// TestConnectReplicatedFailover is the file-based deployment's failover test: two
 // pprserve processes serve shard 1 (primary + replica); killing the primary
 // mid-session leaves queries running against the replica.
-func TestConnectHAFailover(t *testing.T) {
+func TestConnectReplicatedFailover(t *testing.T) {
 	g := graph.MakeUndirected(graph.RMAT(graph.RMATConfig{
 		NumNodes: 300, NumEdges: 1800, A: 0.55, B: 0.2, C: 0.15, Seed: 9,
 	}))
@@ -289,13 +291,14 @@ func TestConnectHAFailover(t *testing.T) {
 	// serving endpoint; replicas serve identical bytes, so scores must match.
 	cfg := core.DefaultConfig()
 	cfg.DeterministicPop = true
-	st, router, cleanup, err := ConnectHA(context.Background(), filepath.Join(dir, "shard-0.bin"), locPath, peers, cfg,
+	machine, err := Connect(context.Background(), filepath.Join(dir, "shard-0.bin"), locPath, peers, stack.Config{},
 		ha.Options{ProbeInterval: 20 * time.Millisecond, ProbeTimeout: time.Second, BreakerThreshold: 2, AttemptTimeout: 2 * time.Second},
 		rpc.LatencyModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
+	defer machine.Close()
+	st, router := machine.Handles[0], machine.Router
 
 	run := func() (map[int32]float64, error) {
 		m, _, err := core.RunSSPPR(context.Background(), st, 0, cfg, nil)

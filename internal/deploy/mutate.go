@@ -13,7 +13,7 @@ import (
 	"pprengine/internal/delta"
 	"pprengine/internal/rpc"
 	"pprengine/internal/shard"
-	"pprengine/internal/wire"
+	"pprengine/internal/stack"
 )
 
 // MutateOptions configures a serving process's mutation tier.
@@ -67,62 +67,17 @@ func EnableMutations(ctx context.Context, srv *core.StorageServer, compute *core
 		return store, nil, cleanup, nil
 	}
 
-	// Coordinator: one applier per peer shard (the local store was already
-	// written by Coordinator.Apply, so its slot stays nil), and a row
-	// fetcher that reads a mutation source's current row from its owner.
-	k := srv.Shard.NumShards
-	clients := make([]*rpc.Client, k)
-	for j := int32(0); j < k; j++ {
-		if j == srv.Shard.ShardID {
-			continue
-		}
-		addr, ok := peers[j]
-		if !ok {
-			cleanup()
-			return nil, nil, nil, fmt.Errorf("deploy: coordinator needs a peer address for shard %d", j)
-		}
-		c, err := dialPeer(ctx, addr, lat)
-		if err != nil {
-			cleanup()
-			return nil, nil, nil, fmt.Errorf("deploy: dial shard %d at %s: %w", j, addr, err)
-		}
-		clients[j] = c
-		stops = append(stops, func() { c.Close() })
+	// Coordinator: one connection per peer shard; the local store was already
+	// written by Coordinator.Apply, so its slot stays nil.
+	clients, err := dialPeers(ctx, srv.Shard.ShardID, srv.Shard.NumShards, peers, lat)
+	if err != nil {
+		cleanup()
+		return nil, nil, nil, fmt.Errorf("deploy: mutation coordinator: %w", err)
 	}
-	appliers := make([]delta.Applier, k)
-	for j := int32(0); j < k; j++ {
-		if clients[j] == nil {
-			continue
-		}
-		cl := clients[j]
-		appliers[j] = func(ctx context.Context, payload []byte) error {
-			resp, err := cl.SyncCallCtx(ctx, rpc.MethodApplyMutations, payload)
-			if err != nil {
-				return err
-			}
-			_, err = wire.DecodeMutationAck(resp)
-			return err
+	for _, c := range clients {
+		if c != nil {
+			stops = append(stops, c.Close)
 		}
 	}
-	fetch := func(ctx context.Context, sh, local int32, epoch uint64) (delta.RemoteRow, error) {
-		if clients[sh] == nil {
-			return delta.RemoteRow{}, fmt.Errorf("deploy: no client for shard %d", sh)
-		}
-		resp, err := clients[sh].SyncCallCtx(ctx, rpc.MethodGetNeighborInfosAt,
-			wire.EncodeIDListAt(epoch, []int32{local}))
-		if err != nil {
-			return delta.RemoteRow{}, err
-		}
-		infos, err := wire.DecodeCSR(resp)
-		if err != nil {
-			return delta.RemoteRow{}, err
-		}
-		if infos.NumRows() != 1 {
-			return delta.RemoteRow{}, fmt.Errorf("deploy: row fetch returned %d rows, want 1", infos.NumRows())
-		}
-		locals, shards, weights, _ := infos.Row(0)
-		return delta.RemoteRow{Locals: locals, Shards: shards, Weights: weights, WDeg: infos.RowWDeg[0]}, nil
-	}
-	coord := delta.NewCoordinator(store, appliers, fetch)
-	return store, coord, cleanup, nil
+	return store, stack.NewCoordinator(store, clients), cleanup, nil
 }

@@ -1,18 +1,12 @@
 package deploy
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
-	"pprengine/internal/admit"
-	"pprengine/internal/cache"
-	"pprengine/internal/core"
 	"pprengine/internal/ha"
-	"pprengine/internal/rpc"
-	"pprengine/internal/shard"
 )
 
 // ParseReplicaPeers parses "1=hostA:7001|hostB:7001,2=hostC:7002" into a
@@ -80,143 +74,6 @@ func PrimaryPeers(peers map[int32][]string) map[int32]string {
 // starting the extra pprserve processes.
 func PlanReplicas(weights []int64, replicas int) (ha.Placement, error) {
 	return ha.PlaceWeighted(weights, replicas)
-}
-
-// buildRouter assembles a health tracker + replica router over peers for a
-// compute process owning localShard, verifies every shard's primary is
-// reachable under ctx (replicas may come up later; probing adopts them), and
-// starts background probing. Addresses are also the health keys: a file-based
-// deployment identifies peers by address, not machine index.
-func buildRouter(ctx context.Context, localShard, k int32, peers map[int32][]string, haOpts ha.Options, lat rpc.LatencyModel) (*ha.ReplicaRouter, func(), error) {
-	tracker := ha.NewHealthTracker(haOpts)
-	endpoints := make([][]*ha.Endpoint, k)
-	for j := int32(0); j < k; j++ {
-		if j == localShard {
-			continue
-		}
-		addrs, ok := peers[j]
-		if !ok || len(addrs) == 0 {
-			return nil, nil, fmt.Errorf("deploy: no serving address for shard %d", j)
-		}
-		for i, addr := range addrs {
-			// The primary of shard j is machine j by the owner-compute
-			// convention; replica hosts are only known by address here.
-			machine := -1
-			if i == 0 {
-				machine = int(j)
-			}
-			ep := ha.NewEndpoint(machine, j, addr, "", lat)
-			endpoints[j] = append(endpoints[j], ep)
-			tracker.Register(ep)
-		}
-	}
-	router := ha.NewReplicaRouter(tracker, endpoints, haOpts)
-	cleanup := func() {
-		tracker.Stop()
-		router.Close()
-	}
-	for j := int32(0); j < k; j++ {
-		if j == localShard {
-			continue
-		}
-		// Fail fast only when NO copy of the shard is reachable: a dead
-		// primary with a live replica is exactly the situation replication
-		// exists for, and must not block bootstrap. Probing adopts whichever
-		// endpoints come up later.
-		var lastErr error
-		reachable := false
-		for _, ep := range endpoints[j] {
-			if _, err := ep.Client(ctx); err == nil {
-				reachable = true
-				break
-			} else {
-				lastErr = err
-			}
-		}
-		if !reachable {
-			cleanup()
-			return nil, nil, fmt.Errorf("deploy: no serving copy of shard %d reachable (last: %w)", j, lastErr)
-		}
-	}
-	tracker.Start()
-	return router, cleanup, nil
-}
-
-// ConnectHA builds a compute-process handle with replicated remote serving:
-// like Connect, but every remote shard may list several serving addresses.
-// It starts a health tracker probing each distinct address and attaches a
-// ReplicaRouter, so remote fetches prefer the primary and fail over to
-// replicas when it is unreachable. The returned cleanup stops probing and
-// closes every connection.
-func ConnectHA(ctx context.Context, shardPath, locatorPath string, peers map[int32][]string, cfg core.Config, haOpts ha.Options, lat rpc.LatencyModel) (*core.DistGraphStorage, *ha.ReplicaRouter, func(), error) {
-	s, err := shard.LoadFile(shardPath)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("deploy: load shard: %w", err)
-	}
-	loc, err := shard.LoadLocatorFile(locatorPath)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("deploy: load locator: %w", err)
-	}
-	router, cleanup, err := buildRouter(ctx, s.ShardID, s.NumShards, peers, haOpts, lat)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	compute := core.NewDistGraphStorage(s.ShardID, s, loc, make([]*rpc.Client, s.NumShards))
-	compute.AttachRouter(router)
-	attachHedger(compute, router, cfg, haOpts)
-	if cfg.CacheBytes > 0 {
-		compute.AttachCache(cache.New(cfg.CacheBytes))
-	}
-	if cfg.AggEnabled() {
-		compute.AttachFetchAggregators(cfg.AggOptions())
-	}
-	attachFeatureTier(compute, cfg)
-	return compute, router, cleanup, nil
-}
-
-// attachHedger wires a hedged-fetch layer over the router when the config
-// asks for it. It must run before the aggregator attachments so merged
-// flushes route through the hedger too.
-func attachHedger(compute *core.DistGraphStorage, router *ha.ReplicaRouter, cfg core.Config, haOpts ha.Options) {
-	if !cfg.Hedge {
-		return
-	}
-	ho := cfg.HedgeOptions()
-	ho.Tracer = haOpts.Tracer
-	compute.AttachHedger(admit.NewHedger(router, ho))
-}
-
-// EnableQueriesHA is EnableQueries with replicated peers: the query owner's
-// compute handle routes remote fetches through a ReplicaRouter, so served
-// queries survive a peer machine's crash. The compute handle is returned
-// for higher serving tiers (the GNN inference service), and the router so
-// the serving process can wire its ReadyCheck into an admin server's
-// /readyz. The returned cleanup stops probing and closes every connection.
-func EnableQueriesHA(ctx context.Context, srv *core.StorageServer, peers map[int32][]string, cfg core.Config, haOpts ha.Options, lat rpc.LatencyModel) (*core.DistGraphStorage, *ha.ReplicaRouter, func(), error) {
-	if haOpts.Tracer == nil {
-		haOpts.Tracer = srv.Tracer()
-	}
-	router, cleanup, err := buildRouter(ctx, srv.Shard.ShardID, srv.Shard.NumShards, peers, haOpts, lat)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	compute := core.NewDistGraphStorage(srv.Shard.ShardID, srv.Shard, srv.Locator, make([]*rpc.Client, srv.Shard.NumShards))
-	compute.AttachTracer(srv.Tracer())
-	compute.AttachRouter(router)
-	attachHedger(compute, router, cfg, haOpts)
-	if cfg.CacheBytes > 0 {
-		compute.AttachCache(cache.New(cfg.CacheBytes))
-	}
-	if cfg.AggEnabled() {
-		compute.AttachFetchAggregators(cfg.AggOptions())
-	}
-	attachFeatureTier(compute, cfg)
-	attachAdmission(compute, cfg)
-	if err := srv.EnableQueryService(compute, cfg); err != nil {
-		cleanup()
-		return nil, nil, nil, err
-	}
-	return compute, router, cleanup, nil
 }
 
 // Replicated reports whether a replica-peer map actually lists more than one

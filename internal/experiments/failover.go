@@ -184,7 +184,7 @@ func FailoverBench(p Params, replicas int, probeInterval time.Duration, breakerT
 			if m == victim {
 				continue
 			}
-			if c.Trackers[m].State(key) != ha.BreakerClosed {
+			if c.Machines[m].Tracker.State(key) != ha.BreakerClosed {
 				closed = false
 			}
 		}

@@ -184,7 +184,7 @@ func Hotpath2Bench(p Params) (Report, []Hotpath2Row, error) {
 		}
 		for _, machine := range c.Storages {
 			for _, st := range machine {
-				st.SetSampleZeroCopy(on)
+				st.ZeroCopy = on
 			}
 		}
 

@@ -97,7 +97,7 @@ func ServeBench(p Params) (Report, []ServeRow, error) {
 		// so "direct" reproduces the pre-pooling profile end to end.
 		for _, machine := range c.Storages {
 			for _, st := range machine {
-				st.SetFeatureZeroCopy(zc)
+				st.ZeroCopy = zc
 			}
 		}
 		tc := gnn.DefaultTrainConfig()

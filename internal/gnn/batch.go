@@ -69,7 +69,7 @@ func ConvertBatch(ctx context.Context, g *core.DistGraphStorage, m *core.SSPPR, 
 			continue
 		}
 		infoFuts[sh] = g.GetNeighborInfos(ctx, sh, byShard[sh], core.Config{Mode: core.FetchBatchCompress})
-		featFuts[sh] = g.FetchFeaturesMass(ctx, sh, byShard[sh], massBy[sh])
+		featFuts[sh] = g.FetchFeatures(ctx, sh, byShard[sh], massBy[sh])
 	}
 	b := &Batch{N: len(top)}
 	var dim int
@@ -81,7 +81,8 @@ func ConvertBatch(ctx context.Context, g *core.DistGraphStorage, m *core.SSPPR, 
 		if featFuts[sh] == nil {
 			continue
 		}
-		feats, d, err := featFuts[sh].WaitCtx(ctx)
+		blk, err := featFuts[sh].WaitCtx(ctx)
+		feats, d := blk.Data, blk.Dim
 		if err != nil {
 			return nil, fmt.Errorf("gnn: feature fetch shard %d: %w", sh, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"pprengine/internal/mem"
 	"pprengine/internal/metrics"
 	"pprengine/internal/obs"
 	"pprengine/internal/rpc"
@@ -94,22 +95,27 @@ type CallFuture struct {
 	err  error
 	// rel releases the winning attempt's pooled response buffer (the rpc
 	// future's Release). Set only on success; forwarded via Release.
-	rel      func()
-	released atomic.Bool
+	rel   func()
+	lease mem.Lease
 }
 
 // Release recycles the response payload's pooled buffer. Call it once the
-// payload (and every view decoded from it) is dead. Idempotent, optional —
-// an unreleased payload falls back to the garbage collector.
+// payload (and every view decoded from it) is dead. Idempotent and optional.
+// Releasing a call that has not resolved abandons it: the attempt loop hands
+// the buffer back itself when the response lands.
 func (f *CallFuture) Release() {
-	select {
-	case <-f.done:
-	default:
-		return
-	}
-	if f.released.CompareAndSwap(false, true) && f.rel != nil {
+	if f.lease.Release() && f.rel != nil {
 		f.rel()
 	}
+}
+
+// finish publishes the attempt loop's result.
+func (f *CallFuture) finish() {
+	if !f.lease.Resolve() && f.rel != nil {
+		f.rel() // abandoned while in flight
+		f.res, f.err = nil, rpc.ErrAbandoned
+	}
+	close(f.done)
 }
 
 // Done returns a channel closed when the final result (after any failovers)
@@ -163,7 +169,7 @@ func (r *ReplicaRouter) Do(ctx context.Context, dstShard int32, m rpc.Method, pa
 // endpoints are tried anyway as a last resort — an open breaker should
 // degrade to the replica, never fail a query that could have succeeded.
 func (r *ReplicaRouter) run(f *CallFuture, sc obs.SpanContext, dstShard int32, m rpc.Method, payload []byte) {
-	defer close(f.done)
+	defer f.finish()
 	eps := r.shards[dstShard]
 	if len(eps) == 0 {
 		f.err = &PeerError{Machine: -1, Shard: dstShard, Err: fmt.Errorf("ha: no endpoints for shard %d", dstShard)}
@@ -229,6 +235,7 @@ func (r *ReplicaRouter) attempt(ep *Endpoint, sc obs.SpanContext, m rpc.Method, 
 	span.SetErr(err != nil)
 	span.End()
 	if err != nil {
+		fut.Release() // a response racing the timeout must not strand its buffer
 		return nil, nil, err
 	}
 	return res, fut.Release, nil

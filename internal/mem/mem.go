@@ -215,3 +215,32 @@ func (b *Buf) Release() {
 		b.pool.classes[b.class].Put(b)
 	}
 }
+
+// Lease is the hand-back protocol of a pending result that may come to hold
+// a pooled buffer (an rpc future, a routed or hedged call, an aggregator
+// ticket). Its owner releases it exactly when done with the result — and may
+// do so before there is a result, which abandons it: the resolver then hands
+// the buffer back itself, so an owner that gave up strands nothing. The zero
+// value is a pending lease.
+type Lease struct{ state atomic.Int32 }
+
+const (
+	leasePending int32 = iota
+	leaseResolved
+	leaseAbandoned
+	leaseReleased
+)
+
+// Resolve marks the result available. The resolver must have written the
+// result before calling it (the transition publishes those writes to a
+// concurrent Release). It reports false when the owner already abandoned the
+// lease: nobody will read the result, and the resolver releases its buffer.
+func (l *Lease) Resolve() bool { return l.state.CompareAndSwap(leasePending, leaseResolved) }
+
+// Release gives the lease up. It reports true at most once, and only for a
+// resolved lease: the caller must release the result's buffer now. On a
+// pending lease it records the abandonment and reports false.
+func (l *Lease) Release() bool {
+	return !l.state.CompareAndSwap(leasePending, leaseAbandoned) &&
+		l.state.CompareAndSwap(leaseResolved, leaseReleased)
+}

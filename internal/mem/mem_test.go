@@ -268,3 +268,25 @@ func BenchmarkArenaEpoch(b *testing.B) {
 		a.Reset()
 	}
 }
+
+// TestLeaseProtocol: exactly one party hands the buffer back, whichever order
+// resolution and release arrive in.
+func TestLeaseProtocol(t *testing.T) {
+	var held Lease // resolve, then release twice
+	if !held.Resolve() {
+		t.Fatal("Resolve on a pending lease must succeed")
+	}
+	if !held.Release() || held.Release() {
+		t.Fatal("Release on a resolved lease must report true exactly once")
+	}
+	var abandoned Lease // release first: the resolver inherits the buffer
+	if abandoned.Release() {
+		t.Fatal("Release on a pending lease must not ask the caller to free anything")
+	}
+	if abandoned.Resolve() {
+		t.Fatal("Resolve after abandonment must tell the resolver to free the buffer")
+	}
+	if abandoned.Release() {
+		t.Fatal("a second Release after abandonment must stay a no-op")
+	}
+}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"runtime"
+	"sync"
 
 	"pprengine/internal/metrics"
 )
@@ -107,4 +108,37 @@ func RegisterGoMetrics(r *Registry) {
 			runtime.ReadMemStats(&ms)
 			return float64(ms.HeapAlloc)
 		})
+}
+
+// MaxTenantSeries caps the label cardinality of ppr_tenant_query_seconds:
+// tenant names come off the wire, so an unbounded label would let clients
+// grow the registry without limit.
+const MaxTenantSeries = 64
+
+// TenantLatencyHook returns the admission controller's latency hook: it
+// observes each admitted query's wall time into a per-tenant
+// ppr_tenant_query_seconds histogram, materialized on the tenant's first
+// completed query. The first MaxTenantSeries tenant names keep their own
+// series; every later one folds into tenant="other".
+func TenantLatencyHook(r *Registry) func(tenant string, secs float64) {
+	var mu sync.Mutex
+	hists := map[string]*Histogram{}
+	return func(tenant string, secs float64) {
+		mu.Lock()
+		h := hists[tenant]
+		if h == nil {
+			label := tenant
+			if len(hists) >= MaxTenantSeries {
+				label = "other"
+			}
+			h = r.Histogram("ppr_tenant_query_seconds",
+				"Wall time of admitted SSPPR queries by tenant.",
+				Labels{"tenant": label}, DefBuckets)
+			if label == tenant {
+				hists[tenant] = h
+			}
+		}
+		mu.Unlock()
+		h.Observe(secs)
+	}
 }

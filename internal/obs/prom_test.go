@@ -173,3 +173,49 @@ func TestEngineAdaptersRender(t *testing.T) {
 		}
 	}
 }
+
+// TestTenantLatencyHookGolden: tenant names come off the wire, so the
+// per-tenant histogram family is capped — the first MaxTenantSeries names keep
+// their own series, every later one lands in tenant="other". The golden file
+// holds the family's _count lines after 70 tenants each completed queries
+// (the bucket lines repeat the registry golden's shape 65 times over).
+func TestTenantLatencyHookGolden(t *testing.T) {
+	r := NewRegistry()
+	hook := TenantLatencyHook(r)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < MaxTenantSeries+6; i++ {
+			hook("t"+strconv.Itoa(100+i), 0.001*float64(i+1))
+		}
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	series := 0
+	sc := bufio.NewScanner(strings.NewReader(b.String()))
+	for sc.Scan() {
+		if line := sc.Text(); strings.HasPrefix(line, "#") || strings.HasPrefix(line, "ppr_tenant_query_seconds_count") {
+			got.WriteString(line + "\n")
+			if !strings.HasPrefix(line, "#") {
+				series++
+			}
+		}
+	}
+	if series != MaxTenantSeries+1 {
+		t.Fatalf("%d series after %d tenants, want %d named + other", series, MaxTenantSeries+6, MaxTenantSeries)
+	}
+	const path = "testdata/tenant_metrics.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("tenant exposition differs from golden:\n--- want ---\n%s--- got ---\n%s", want, got.String())
+	}
+}

@@ -45,10 +45,10 @@ const (
 	MethodGetNeighborInfoOne  Method = 3 // single vertex (the "Single" ablation)
 	MethodSampleOneNeighbor   Method = 4 // random-walk step
 	MethodGetShardStats       Method = 5
-	MethodFetchFeatures       Method = 6 // GNN feature store
-	MethodAllreduce           Method = 7 // gradient sync for the case study
-	MethodSampleNeighbors     Method = 8 // k-hop fanout sampling (GraphSAGE)
-	MethodSSPPRQuery          Method = 9 // owner-compute query dispatch
+	MethodFetchFeatures       Method = 6  // GNN feature store
+	MethodAllreduce           Method = 7  // gradient sync for the case study
+	MethodSampleNeighbors     Method = 8  // k-hop fanout sampling (GraphSAGE)
+	MethodSSPPRQuery          Method = 9  // owner-compute query dispatch
 	MethodApplyMutations      Method = 10 // resolved mutation batch (delta overlay)
 	MethodGetNeighborInfosAt  Method = 11 // epoch-pinned variant of GetNeighborInfos
 	MethodEcho                Method = 63
@@ -572,14 +572,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // number of goroutines to Wait on the same future concurrently; all of them
 // observe the same result once it resolves.
 type Future struct {
-	id       uint64
-	reqSize  int
-	c        *Client // issuing client; nil for pre-failed futures
-	done     chan struct{}
-	buf      *mem.Buf // pooled backing of payload; nil for empty/error results
-	released atomic.Bool
-	payload  []byte
-	err      error
+	id      uint64
+	reqSize int
+	c       *Client // issuing client; nil for pre-failed futures
+	done    chan struct{}
+	buf     *mem.Buf // pooled backing of payload; nil for empty/error results
+	lease   mem.Lease
+	payload []byte
+	err     error
 }
 
 func newFuture() *Future { return &Future{done: make(chan struct{})} }
@@ -594,24 +594,32 @@ func failedFuture(err error) *Future {
 // client guarantees this by routing every completion path through
 // pending.LoadAndDelete on the request ID.
 func (f *Future) complete(buf *mem.Buf, err error) {
-	f.buf = buf
-	f.payload = buf.Bytes()
-	f.err = err
+	// Published by the state transition below, which a concurrent Release
+	// synchronizes with.
+	f.buf, f.payload, f.err = buf, buf.Bytes(), err
+	if !f.lease.Resolve() {
+		// Abandoned while in flight: nobody will read the payload.
+		f.buf, f.payload = nil, nil
+		buf.Release()
+		if err == nil {
+			f.err = ErrAbandoned
+		}
+	}
 	close(f.done)
 }
 
+// ErrAbandoned is what a late waiter of an abandoned future observes.
+var ErrAbandoned = errors.New("rpc: call released before its response arrived")
+
 // Release returns the response payload's pooled buffer for reuse. It is the
-// waiter's declaration that the payload — and every view decoded from it —
-// will not be touched again. Release is idempotent, nil-safe on unresolved
-// or failed futures, and optional: an unreleased payload just falls back to
-// the garbage collector.
+// owner's declaration that the payload — and every view decoded from it —
+// will not be touched again. Release is idempotent and optional (an
+// unreleased payload just falls back to the garbage collector). Releasing a
+// future that has not resolved abandons it: a response that still arrives is
+// recycled on the spot, so a caller that gave up — a cancelled wait racing
+// the response, a hedge's losing attempt — never strands a buffer.
 func (f *Future) Release() {
-	select {
-	case <-f.done:
-	default:
-		return // unresolved: nothing checked out yet
-	}
-	if f.released.CompareAndSwap(false, true) {
+	if f.lease.Release() {
 		f.buf.Release()
 	}
 }
@@ -960,6 +968,7 @@ func (c *Client) SyncCallCtx(ctx context.Context, m Method, payload []byte) ([]b
 	f := c.CallCtx(ctx, m, payload)
 	p, err := f.WaitCtx(ctx)
 	if err != nil {
+		f.Release()
 		return nil, err
 	}
 	out := append([]byte(nil), p...)

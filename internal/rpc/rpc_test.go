@@ -170,13 +170,13 @@ func TestWaitIdempotent(t *testing.T) {
 func TestClientCloseFailsPending(t *testing.T) {
 	s := NewServer()
 	block := make(chan struct{})
-	defer close(block)
 	s.Handle(MethodEcho, func(p []byte) ([]byte, error) {
 		<-block
 		return p, nil
 	})
 	addr, _ := s.ListenAndServe()
 	defer s.Close()
+	defer close(block) // before s.Close, which waits for the blocked handler
 	c, _ := Dial(addr, LatencyModel{})
 	f := c.Call(MethodEcho, []byte("x"))
 	c.Close()
