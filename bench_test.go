@@ -14,6 +14,7 @@ import (
 	"os"
 	"strconv"
 	"testing"
+	"time"
 
 	"pprengine/internal/baseline"
 	"pprengine/internal/cluster"
@@ -449,5 +450,48 @@ func BenchmarkQueryService(b *testing.B) {
 		if _, err := qc.Query(context.Background(), src, 10, 0, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFetchRoundTrip measures one 20-row neighbor fetch through the
+// benchmark-default chain (cache + aggregation + R=2 with hedging, zero-copy)
+// over loopback TCP: issue, wait, release. The cache is kept smaller than the
+// rows the loop cycles through, so every fetch takes the miss path — reserve,
+// flush, hedged call, decode, fulfil, insert — and none is served from memory.
+func BenchmarkFetchRoundTrip(b *testing.B) {
+	const rows = 20
+	g := graph.ErdosRenyi(16000, 16000*16, 7)
+	c, err := cluster.New(g, cluster.Options{
+		NumMachines: 4, ProcsPerMachine: 1, Seed: 3,
+		CacheBytes: 64 << 10, AggWindow: 200 * time.Microsecond, ZeroCopy: true,
+		Replicas: 2, Hedge: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	st, dst, cfg := c.Storages[0][0], int32(1), core.DefaultConfig()
+	n := int32(c.Shards[dst].NumCore()) / rows * rows
+	ids := make([]int32, rows)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range ids {
+			ids[j] = (int32(i*rows) + int32(j)) % n
+		}
+		fut := st.GetNeighborInfos(ctx, dst, ids, cfg)
+		batch, err := fut.WaitCtx(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if batch.NumRows() != rows {
+			b.Fatalf("fetch returned %d rows, want %d", batch.NumRows(), rows)
+		}
+		fut.Release()
+	}
+	b.StopTimer()
+	if hits := c.Machines[0].Cache.Stats().Hits; hits != 0 {
+		b.Fatalf("%d cache hits: the loop must stay on the miss path", hits)
 	}
 }

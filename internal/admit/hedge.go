@@ -1,54 +1,44 @@
 package admit
 
 import (
-	"context"
-	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pprengine/internal/ha"
-	"pprengine/internal/mem"
 	"pprengine/internal/metrics"
 	"pprengine/internal/obs"
 	"pprengine/internal/rpc"
 )
 
-// Hedger issues hedged remote fetches over the replication layer's replica
-// set: a request goes to the shard's primary, and if the primary has not
-// answered within a latency-percentile-derived hedge delay, the SAME request
-// is issued to a healthy replica. First response wins; the loser's attempt
-// is cancelled and its (late) response buffer released. Because every
-// replica serves the same immutable shard, the two responses are
-// bit-identical — hedging changes tail latency, never results.
-//
-// Interaction rules with the failover layer (satellite of DESIGN.md §5k):
+// Hedger is the policy of hedged remote fetches over the replication layer's
+// replica set: a request goes to the shard's primary, and if the primary has
+// not answered within a latency-percentile-derived hedge delay, the SAME
+// request is issued to a healthy replica. First response wins; the loser is
+// cancelled and its (late) response buffer released. Every replica serves the
+// same immutable shard, so the two responses are bit-identical — hedging
+// changes tail latency, never results. The race itself is the router's call
+// state machine (ha.CallFuture), which keeps these rules (DESIGN.md §5k):
 //
 //   - A hedge goes only to a replica whose breaker ALLOWS traffic; an open
 //     breaker is never hedged into.
 //   - A hedge win is counted in HedgeWins, NOT as a failover: the primary
-//     did not fail, it was merely slow. ReplicaRouter.Stats().Failovers
-//     stays untouched by wins.
+//     was merely slow, and ReplicaRouter.Stats().Failovers stays untouched.
 //   - When the primary's breaker is already open, or the shard has no
-//     replicas, the call degrades to the router's normal failover loop with
-//     its normal accounting.
-//   - A primary hard error (not just slowness) falls back to the router's
-//     failover loop too — unless a hedge is already in flight, in which case
-//     the hedge's response is used if it succeeds.
+//     replicas, the call is the router's failover loop, normal accounting.
+//   - A primary hard error (not just slowness) falls back to that loop too —
+//     unless a hedge is already in flight, whose response is used if it
+//     succeeds; two failures fall back to it as well.
 //
 // Wire accounting: a hedged request is real wire traffic (NetStats sees it),
-// but the per-query RPCRequests attribution charges the fetch once — the
-// duplicate is infrastructure overhead, not query demand. When the cluster
-// is healthy the hedge delay sits above the primary's p99, so hedges are
+// but the per-query RPCRequests attribution charges the fetch once. On a
+// healthy cluster the hedge delay sits above the primary's p99, so hedges are
 // rare and request counts do not inflate.
 type Hedger struct {
 	r    *ha.ReplicaRouter
 	opts HedgeOptions
-
-	mu  sync.Mutex
-	lat map[int32][]float64 // per-shard ring of primary latencies (seconds)
-	idx map[int32]int
+	lat  []shardLatency // by destination shard
 
 	hedges atomic.Int64
 	wins   atomic.Int64
@@ -66,48 +56,37 @@ type HedgeOptions struct {
 	// never hedge on a cold estimate.
 	MinDelay time.Duration
 	MaxDelay time.Duration
-	// AttemptTimeout bounds each individual attempt. <= 0 means 5s.
-	AttemptTimeout time.Duration
-	// Tracer records "admit:primary" / "admit:hedge" attempt spans for
-	// traced requests. nil disables.
-	Tracer *obs.Tracer
-}
-
-func (o HedgeOptions) minDelay() time.Duration {
-	if o.MinDelay <= 0 {
-		return 500 * time.Microsecond
-	}
-	return o.MinDelay
-}
-
-func (o HedgeOptions) maxDelay() time.Duration {
-	if o.MaxDelay <= 0 {
-		return 100 * time.Millisecond
-	}
-	return o.MaxDelay
-}
-
-func (o HedgeOptions) attemptTimeout() time.Duration {
-	if o.AttemptTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return o.AttemptTimeout
 }
 
 // hedgeWarmup is the per-shard sample count below which the adaptive delay
-// stays at MaxDelay, and hedgeLatWindow the ring size behind the p95.
+// stays at MaxDelay, hedgeLatWindow the ring behind the p95, and hedgeRecalc
+// the samples recorded between recomputations of it.
 const (
 	hedgeWarmup    = 8
 	hedgeLatWindow = 128
+	hedgeRecalc    = 16
 )
+
+// shardLatency is one destination shard's window of recent primary latencies
+// and its p95: recording takes the shard's lock, the call path loads p95.
+type shardLatency struct {
+	mu   sync.Mutex
+	ring [hedgeLatWindow]time.Duration
+	n    int64 // samples ever recorded
+
+	p95 atomic.Int64 // nanoseconds; 0 until the window warmed up
+}
 
 // NewHedger builds a hedger over the machine's replica router.
 func NewHedger(r *ha.ReplicaRouter, opts HedgeOptions) *Hedger {
-	return &Hedger{r: r, opts: opts, lat: make(map[int32][]float64), idx: make(map[int32]int)}
+	if opts.MinDelay <= 0 {
+		opts.MinDelay = 500 * time.Microsecond
+	}
+	if opts.MaxDelay <= 0 {
+		opts.MaxDelay = 100 * time.Millisecond
+	}
+	return &Hedger{r: r, opts: opts, lat: make([]shardLatency, r.NumShards())}
 }
-
-// Router returns the underlying replica router (the non-hedged path).
-func (h *Hedger) Router() *ha.ReplicaRouter { return h.r }
 
 // HedgeStats counts a hedger's activity.
 type HedgeStats struct {
@@ -132,283 +111,50 @@ func (h *Hedger) Stats() HedgeStats {
 	return HedgeStats{Hedges: h.hedges.Load(), Wins: h.wins.Load()}
 }
 
-// Result is the pending response of a hedged (or delegated) call. Its method
-// set matches the engine's response-future surface (core's respFuture and
-// agg.Response), so a Hedger drops into every transport seam the router fits.
-type Result interface {
-	Done() <-chan struct{}
-	Wait() ([]byte, error)
-	WaitCtx(ctx context.Context) ([]byte, error)
-	Release()
+// CallTraced issues one request for dstShard, hedged under this policy when
+// the shard has a hedgeable replica, under trace context sc.
+func (h *Hedger) CallTraced(sc obs.SpanContext, dstShard int32, m rpc.Method, payload []byte) *ha.CallFuture {
+	return h.r.CallTraced(sc, dstShard, m, payload, h)
 }
 
-// Future is a hedged call's pending result; the first finished attempt
-// resolves it.
-type Future struct {
-	done  chan struct{}
-	res   []byte
-	err   error
-	rel   func()
-	lease mem.Lease
+// Sent, Won, Observe and Delay implement ha.Hedge. Sent counts a duplicate.
+func (h *Hedger) Sent() {
+	h.hedges.Add(1)
+	metrics.Hedges.Inc(1)
 }
 
-// Done returns a channel closed when the winning attempt resolved.
-func (f *Future) Done() <-chan struct{} { return f.done }
-
-// Wait blocks for the winning attempt's result.
-func (f *Future) Wait() ([]byte, error) {
-	<-f.done
-	return f.res, f.err
+// Won counts a duplicate that answered first.
+func (h *Hedger) Won() {
+	h.wins.Add(1)
+	metrics.HedgeWins.Inc(1)
 }
 
-// WaitCtx is Wait bounded by the waiter's context. Cancellation detaches
-// only this waiter — the hedged call keeps running for other waiters.
-func (f *Future) WaitCtx(ctx context.Context) ([]byte, error) {
-	select {
-	case <-f.done:
-		return f.res, f.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+// Observe adds one successful primary latency to the shard's window and, at
+// the end of warm-up and every hedgeRecalc samples, recomputes its p95.
+func (h *Hedger) Observe(shard int32, d time.Duration) {
+	l := &h.lat[shard]
+	l.mu.Lock()
+	l.ring[l.n%hedgeLatWindow] = d
+	l.n++
+	if l.n == hedgeWarmup || l.n%hedgeRecalc == 0 {
+		sorted := l.ring
+		filled := sorted[:min(l.n, hedgeLatWindow)]
+		slices.Sort(filled)
+		l.p95.Store(int64(filled[len(filled)*95/100]))
 	}
+	l.mu.Unlock()
 }
 
-// Release recycles the winning response's pooled buffer. Idempotent.
-// Releasing a call that has not resolved abandons it: the race hands the
-// winner's buffer back itself.
-func (f *Future) Release() {
-	if f.lease.Release() && f.rel != nil {
-		f.rel()
-	}
-}
-
-// finish publishes the race's result.
-func (f *Future) finish() {
-	if !f.lease.Resolve() && f.rel != nil {
-		f.rel() // abandoned while in flight
-		f.res, f.err = nil, rpc.ErrAbandoned
-	}
-	close(f.done)
-}
-
-// Call issues one hedged request for dstShard.
-func (h *Hedger) Call(dstShard int32, m rpc.Method, payload []byte) Result {
-	return h.CallTraced(obs.SpanContext{}, dstShard, m, payload)
-}
-
-// CallTraced is Call carrying a trace context. When the shard has no
-// hedgeable replica — fewer than two allowed endpoints, or the primary's
-// breaker is open — the call delegates to the router's failover loop (with
-// its normal failover accounting) instead of hedging.
-func (h *Hedger) CallTraced(sc obs.SpanContext, dstShard int32, m rpc.Method, payload []byte) Result {
-	eps := h.r.Endpoints(dstShard)
-	tracker := h.r.Tracker()
-	if len(eps) < 2 || !tracker.Allow(eps[0].Key()) {
-		return h.r.CallTraced(sc, dstShard, m, payload)
-	}
-	f := &Future{done: make(chan struct{})}
-	go h.run(f, sc, dstShard, eps, m, payload)
-	return f
-}
-
-// outcome is one attempt's result.
-type outcome struct {
-	res []byte
-	rel func()
-	err error
-}
-
-// run drives one hedged call: primary attempt immediately, hedge attempt to
-// the first breaker-allowed replica once the hedge delay elapses, first
-// success wins, loser cancelled and its buffer released.
-func (h *Hedger) run(f *Future, sc obs.SpanContext, dstShard int32, eps []*ha.Endpoint, m rpc.Method, payload []byte) {
-	defer f.finish()
-	tracker := h.r.Tracker()
-	primary := eps[0]
-	start := time.Now()
-
-	prCh := make(chan outcome, 1)
-	prCtx, prCancel := context.WithCancel(context.Background())
-	defer prCancel()
-	go func() { prCh <- h.attempt(prCtx, primary, sc, m, payload, "admit:primary") }()
-
-	timer := time.NewTimer(h.hedgeDelay(dstShard))
-	defer timer.Stop()
-	timerC := timer.C
-
-	var hedCh chan outcome
-	var hedCancel context.CancelFunc
-	var hedEp *ha.Endpoint
-
-	for {
-		select {
-		case out := <-prCh:
-			prCh = nil
-			if out.err == nil {
-				h.record(dstShard, time.Since(start))
-				tracker.ReportSuccess(primary.Key())
-				f.res, f.rel = out.res, out.rel
-				if hedCh != nil {
-					hedCancel()
-					go drain(hedCh)
-				}
-				return
-			}
-			if hedgeTransient(out.err) {
-				tracker.ReportFailure(primary.Key())
-			}
-			if hedCh == nil {
-				// Primary failed before any hedge launched: this is a plain
-				// failover situation — delegate to the router's loop so the
-				// failover is attributed (and retried) exactly as without
-				// hedging.
-				h.delegate(f, sc, dstShard, m, payload)
-				return
-			}
-			// A hedge is already in flight; its response becomes the call's
-			// only hope before falling back to the router.
-		case out := <-hedCh:
-			hedCh = nil
-			if out.err == nil {
-				tracker.ReportSuccess(hedEp.Key())
-				h.wins.Add(1)
-				metrics.HedgeWins.Inc(1)
-				f.res, f.rel = out.res, out.rel
-				if prCh != nil {
-					prCancel()
-					go drain(prCh)
-				}
-				return
-			}
-			if hedgeTransient(out.err) {
-				tracker.ReportFailure(hedEp.Key())
-			}
-			if prCh == nil {
-				// Both primary and hedge failed: last resort is the router's
-				// full failover loop.
-				h.delegate(f, sc, dstShard, m, payload)
-				return
-			}
-			// Hedge lost its race with its own error; keep waiting on the
-			// primary.
-		case <-timerC:
-			timerC = nil
-			// Hedge into the first replica whose breaker allows traffic —
-			// never into an open breaker.
-			for _, ep := range eps[1:] {
-				if tracker.Allow(ep.Key()) {
-					hedEp = ep
-					break
-				}
-			}
-			if hedEp == nil {
-				continue // no healthy replica: the primary remains the only hope
-			}
-			h.hedges.Add(1)
-			metrics.Hedges.Inc(1)
-			hedCh = make(chan outcome, 1)
-			// The deferred cancel releases the context at function exit;
-			// hedCancel lets the first-wins paths cancel the loser early.
-			// This branch runs at most once, so the in-loop defer is sound.
-			hctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			hedCancel = cancel
-			go func(ep *ha.Endpoint, ch chan outcome) {
-				ch <- h.attempt(hctx, ep, sc, m, payload, "admit:hedge")
-			}(hedEp, hedCh)
-		}
-	}
-}
-
-// delegate resolves f through the router's normal failover loop.
-func (h *Hedger) delegate(f *Future, sc obs.SpanContext, dstShard int32, m rpc.Method, payload []byte) {
-	inner := h.r.CallTraced(sc, dstShard, m, payload)
-	f.res, f.err = inner.Wait()
-	f.rel = inner.Release
-}
-
-// attempt issues the request on ep once, bounded by the attempt timeout and
-// cancellable by ctx (the first-wins cancel).
-func (h *Hedger) attempt(ctx context.Context, ep *ha.Endpoint, sc obs.SpanContext, m rpc.Method, payload []byte, name string) outcome {
-	span := h.opts.Tracer.StartSpan(sc, name)
-	span.SetShard(ep.Shard)
-	if c := span.Context(); c.Valid() {
-		sc = c
-	}
-	cl, err := ep.Client(ctx)
-	if err != nil {
-		span.SetErr(true)
-		span.End()
-		return outcome{err: err}
-	}
-	actx, cancel := context.WithTimeout(obs.ContextWith(ctx, sc), h.opts.attemptTimeout())
-	defer cancel()
-	fut := cl.CallCtx(actx, m, payload)
-	res, err := fut.WaitCtx(actx)
-	span.SetErr(err != nil)
-	span.End()
-	if err != nil {
-		fut.Release() // a response racing the loser's cancel must not strand its buffer
-		return outcome{err: err}
-	}
-	return outcome{res: res, rel: fut.Release}
-}
-
-// drain releases a cancelled loser's buffer when its attempt eventually
-// resolves (the attempt goroutine never blocks — its channel is buffered).
-func drain(ch chan outcome) {
-	if out := <-ch; out.rel != nil {
-		out.rel()
-	}
-}
-
-// hedgeTransient mirrors the failover layer's health attribution: context
-// errors (our own attempt timeout — a blackholed or slow-dead peer) and
-// transport errors count against the peer; remote handler errors do not.
-func hedgeTransient(err error) bool {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return true
-	}
-	return rpc.Transient(err)
-}
-
-// record adds one successful primary latency to the shard's window.
-func (h *Hedger) record(shard int32, d time.Duration) {
-	h.mu.Lock()
-	ring := h.lat[shard]
-	if len(ring) < hedgeLatWindow {
-		h.lat[shard] = append(ring, d.Seconds())
-	} else {
-		i := h.idx[shard]
-		ring[i] = d.Seconds()
-		h.idx[shard] = (i + 1) % hedgeLatWindow
-	}
-	h.mu.Unlock()
-}
-
-// hedgeDelay derives the hedge delay for shard: the fixed Delay when set,
-// otherwise the p95 of recent primary latencies clamped to
-// [MinDelay, MaxDelay] — MaxDelay before warm-up, so a cold hedger never
-// fires spuriously.
-func (h *Hedger) hedgeDelay(shard int32) time.Duration {
+// Delay derives the hedge delay for shard: the fixed Delay when set, else
+// the p95 of recent primary latencies clamped to [MinDelay, MaxDelay] —
+// MaxDelay before warm-up, so a cold hedger never fires spuriously.
+func (h *Hedger) Delay(shard int32) time.Duration {
 	if h.opts.Delay > 0 {
 		return h.opts.Delay
 	}
-	h.mu.Lock()
-	ring := h.lat[shard]
-	var d time.Duration
-	if len(ring) < hedgeWarmup {
-		d = h.opts.maxDelay()
-	} else {
-		sorted := append(make([]float64, 0, len(ring)), ring...)
-		sort.Float64s(sorted)
-		d = time.Duration(sorted[len(sorted)*95/100] * float64(time.Second))
+	d := time.Duration(h.lat[shard].p95.Load())
+	if d == 0 {
+		return h.opts.MaxDelay
 	}
-	h.mu.Unlock()
-	if min := h.opts.minDelay(); d < min {
-		d = min
-	}
-	if max := h.opts.maxDelay(); d > max {
-		d = max
-	}
-	return d
+	return min(max(d, h.opts.MinDelay), h.opts.MaxDelay)
 }

@@ -181,28 +181,16 @@ var Features = &Tier{
 }
 
 // Response is the pending result of one wire request. *rpc.Future satisfies
-// it; so do the failover layer's routed call and the hedger's raced call.
-// Release hands the response's pooled payload buffer back once the consumer
-// is done with the bytes (idempotent, no-op before resolution).
+// it; so does the failover layer's routed (or hedged) call. OnDone registers
+// the consumer's completion hook (rpc.Completion: false means already
+// resolved, run it yourself). Release hands the response's pooled payload
+// buffer back (idempotent; before resolution it abandons the request).
 type Response interface {
-	Done() <-chan struct{}
+	OnDone(fn func()) bool
 	Wait() ([]byte, error)
 	WaitCtx(ctx context.Context) ([]byte, error)
 	Release()
 }
-
-// failed is a Response that never reached the wire.
-type failed struct{ err error }
-
-// Failed returns an already-resolved Response carrying err.
-func Failed(err error) Response { return failed{err} }
-
-var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
-
-func (f failed) Done() <-chan struct{}                   { return closedChan }
-func (f failed) Wait() ([]byte, error)                   { return nil, f.err }
-func (f failed) WaitCtx(context.Context) ([]byte, error) { return nil, f.err }
-func (f failed) Release()                                {}
 
 // Transport issues one wire request to a shard — the hedge → route → rpc tail
 // of the fetch chain as one value. ctx carries the request's trace context
@@ -215,12 +203,12 @@ type Transport func(ctx context.Context, shard int32, m rpc.Method, payload []by
 var ErrClosed = errors.New("agg: aggregator closed")
 
 // Ticket is one enqueued fetch's handle on its share of a flush: rows
-// [off, off+Rows()) of the merged response.
+// [off, off+len(locals)) of the merged response.
 type Ticket struct {
 	locals []int32
-	done   chan struct{}
+	sig    rpc.Completion
 
-	// Resolved by the flush completion, published by closing done.
+	// Resolved by the flush completion, published by sig.
 	batch Batch
 	off   int
 	err   error
@@ -259,15 +247,11 @@ func (s *flushShare) release() {
 func (t *Ticket) resolve(b Batch, err error) {
 	t.batch, t.err = b, err
 	t.lease.Resolve()
-	close(t.done)
+	t.sig.Complete()
 }
 
-// Rows returns the number of rows this ticket requested.
-func (t *Ticket) Rows() int { return len(t.locals) }
-
-// Done returns a channel closed when the ticket's flush has resolved (rows
-// decoded or error set).
-func (t *Ticket) Done() <-chan struct{} { return t.done }
+// OnDone registers the ticket's completion hook (see rpc.Completion).
+func (t *Ticket) OnDone(fn func()) bool { return t.sig.OnDone(fn) }
 
 // Wait blocks until the ticket resolves or ctx ends. On success it returns
 // the decoded batch shared by every ticket of the flush plus the offset of
@@ -275,22 +259,16 @@ func (t *Ticket) Done() <-chan struct{} { return t.done }
 // flush still resolves the other tickets and a late response is not lost.
 func (t *Ticket) Wait(ctx context.Context) (b Batch, off int, err error) {
 	select {
-	case <-t.done:
+	case <-t.sig.Done():
 		return t.batch, t.off, t.err
 	case <-ctx.Done():
 		return nil, 0, ctx.Err()
 	}
 }
 
-// Result returns the resolved batch, offset and error. It must only be
-// called after Done() closed (e.g. from a cache.Flight resolve callback).
-func (t *Ticket) Result() (b Batch, off int, err error) {
-	return t.batch, t.off, t.err
-}
-
 // Release returns this ticket's share of the flush's decoded response. With
 // ZeroCopy the rows alias the pooled response payload, so the caller must
-// not touch the batch returned by Wait/Result after Release; the last
+// not touch the batch returned by Wait after Release; the last
 // ticket's Release returns the payload to its pool. Idempotent and nil-safe.
 // Releasing before the flush resolves abandons the ticket: the completion
 // drops its share for it, so a query that gave up still hands the buffer
@@ -306,7 +284,7 @@ func (t *Ticket) Release() {
 // ticket resolves it reports zeros.
 func (t *Ticket) Accounting() (requests, bytes int64) {
 	select {
-	case <-t.done:
+	case <-t.sig.Done():
 		return t.wireReqs, t.wireBytes
 	default:
 		return 0, 0
@@ -371,7 +349,7 @@ func (a *Aggregator) Enqueue(locals []int32) *Ticket {
 // response other queries are waiting on (Ticket.Wait still honors the
 // waiter's own ctx).
 func (a *Aggregator) EnqueueAt(sc obs.SpanContext, epoch uint64, locals []int32) *Ticket {
-	t := &Ticket{locals: locals, done: make(chan struct{}), sc: sc}
+	t := &Ticket{locals: locals, sc: sc}
 	if len(locals) == 0 {
 		t.resolve(a.tier.Empty, nil)
 		return t
@@ -383,23 +361,22 @@ func (a *Aggregator) EnqueueAt(sc obs.SpanContext, epoch uint64, locals []int32)
 		t.resolve(nil, ErrClosed)
 		return t
 	}
+	var prev, fl *flush
 	if len(a.pending) > 0 && a.epoch != epoch {
 		// Epoch boundary: the forming batch belongs to another graph view.
 		// Ship it now rather than mixing views in one response.
-		a.flushLocked()
+		prev = a.takeLocked()
 	}
 	opened := len(a.pending) == 0
 	a.pending = append(a.pending, t)
 	a.epoch = epoch
 	a.rows += len(locals)
 	switch {
-	case a.inFlight == 0 && opened:
-		// Idle: no flush in flight and no batch forming means no concurrent
-		// fetch to wait for — flushing now keeps the single-query fast path
-		// at zero added latency and zero aggregation.
-		a.flushLocked()
-	case a.rows >= a.opts.maxRows():
-		a.flushLocked()
+	case a.inFlight == 0 && opened, a.rows >= a.opts.maxRows():
+		// At the row cap — or idle: no flush in flight and no batch forming
+		// means no concurrent fetch to wait for, and flushing now keeps the
+		// single-query fast path at zero added latency.
+		fl = a.takeLocked()
 	case a.timer == nil:
 		// Batch just opened behind an in-flight flush: bound its wait. The
 		// batch holds until this timer (or the row cap) fires, even across
@@ -408,45 +385,69 @@ func (a *Aggregator) EnqueueAt(sc obs.SpanContext, epoch uint64, locals []int32)
 		a.timer = time.AfterFunc(a.opts.window(), func() { a.timedFlush(gen) })
 	}
 	a.mu.Unlock()
+	prev.send()
+	fl.send()
 	return t
 }
 
 // timedFlush fires when a batch's window expires. The generation guard makes
 // a stale timer (its batch already flushed by the cap or a drain) a no-op.
 func (a *Aggregator) timedFlush(gen uint64) {
+	var fl *flush
 	a.mu.Lock()
 	if a.gen == gen {
-		a.flushLocked()
+		fl = a.takeLocked()
 	}
 	a.mu.Unlock()
+	fl.send()
 }
 
-// flushLocked sends the pending batch as one wire request. Caller holds a.mu.
-func (a *Aggregator) flushLocked() {
-	batch := a.pending
-	a.pending = nil
-	rows := a.rows
-	a.rows = 0
+// flush is one merged wire request: the batch it carries, then its response.
+type flush struct {
+	a     *Aggregator
+	batch []*Ticket
+	rows  int
+	epoch uint64
+	span  obs.ActiveSpan
+	resp  Response
+}
+
+// takeLocked detaches the pending batch as a flush (nil when there is none)
+// for the caller to send after unlocking: a.mu is never held across a wire
+// call, so a completion hook may take it.
+func (a *Aggregator) takeLocked() *flush {
 	a.gen++
 	if a.timer != nil {
 		a.timer.Stop()
 		a.timer = nil
 	}
-	if len(batch) == 0 {
+	if len(a.pending) == 0 {
+		return nil
+	}
+	fl := &flush{a: a, batch: a.pending, rows: a.rows, epoch: a.epoch}
+	a.pending, a.rows = nil, 0
+	a.inFlight++
+	a.flying.Add(1)
+	return fl
+}
+
+// send ships the flush as one wire request completed by a hook. Nil-safe.
+func (fl *flush) send() {
+	if fl == nil {
 		return
 	}
-	ids := make([]int32, 0, rows)
+	a, batch := fl.a, fl.batch
+	ids := make([]int32, 0, fl.rows)
 	for _, t := range batch {
 		ids = append(ids, t.locals...)
 	}
-	method, payload := a.tier.Encode(a.epoch, ids)
+	method, payload := a.tier.Encode(fl.epoch, ids)
 	batch[0].wireReqs = 1
 	batch[0].wireBytes = int64(len(payload))
-	a.inFlight++
 	a.flushes.Add(1)
-	a.flushedRow.Add(int64(rows))
+	a.flushedRow.Add(int64(fl.rows))
 	a.tier.flushes.Inc(1)
-	a.tier.rows.Inc(int64(rows))
+	a.tier.rows.Inc(int64(fl.rows))
 	if len(batch) > 1 {
 		a.shared.Add(int64(len(batch)))
 		a.tier.shared.Inc(int64(len(batch)))
@@ -454,41 +455,48 @@ func (a *Aggregator) flushLocked() {
 	// The flush span (and the request's trace context) belong to the opener's
 	// trace; a span context derived from it keeps the rpc-server span a child
 	// of the flush rather than a sibling.
-	span := a.opts.Tracer.StartSpan(batch[0].sc, a.tier.Span)
+	fl.span = a.opts.Tracer.StartSpan(batch[0].sc, a.tier.Span)
 	sc := batch[0].sc
-	if c := span.Context(); c.Valid() {
+	if c := fl.span.Context(); c.Valid() {
 		sc = c
 	}
-	fut := a.tr(obs.ContextWith(context.Background(), sc), a.shard, method, payload)
-	a.flying.Add(1)
-	go a.complete(fut, span, batch, rows)
+	fl.resp = a.tr(obs.ContextWith(context.Background(), sc), a.shard, method, payload)
+	if !fl.resp.OnDone(fl.complete) {
+		fl.complete()
+	}
 }
 
-// complete resolves one flush: decode once, hand every ticket its row range.
-// A batch pending behind this flush keeps accumulating until its own window
-// or row cap fires.
-func (a *Aggregator) complete(fut Response, span obs.ActiveSpan, batch []*Ticket, rows int) {
+// complete is the flush's completion hook: decode once, hand every ticket its
+// row range and run its hook. A batch pending behind this flush keeps
+// accumulating until its own window or row cap fires.
+func (fl *flush) complete() {
+	a, batch := fl.a, fl.batch
 	defer a.flying.Done()
-	payload, err := fut.Wait()
+	// The link is free from here — before any ticket resolves, so a waiter
+	// that wakes and enqueues its next fetch finds the aggregator idle.
+	a.mu.Lock()
+	a.inFlight--
+	a.mu.Unlock()
+	payload, err := fl.resp.Wait() // resolved: does not block
 	var b Batch
 	aliased := false
 	if err == nil {
 		b, aliased, err = a.tier.Decode(payload, a.opts.ZeroCopy)
 	}
-	if err == nil && b.NumRows() != rows {
-		err = fmt.Errorf("agg: merged fetch returned %d rows, want %d", b.NumRows(), rows)
+	if err == nil && b.NumRows() != fl.rows {
+		err = fmt.Errorf("agg: merged fetch returned %d rows, want %d", b.NumRows(), fl.rows)
 	}
 	var share *flushShare
 	if err == nil && aliased {
-		share = &flushShare{rel: fut.Release}
+		share = &flushShare{rel: fl.resp.Release}
 		share.refs.Store(int64(len(batch)))
 	} else {
 		// Rows copied out (or the flush failed): the payload buffer can go
 		// back to its pool right now.
-		fut.Release()
+		fl.resp.Release()
 	}
-	span.SetErr(err != nil)
-	span.End()
+	fl.span.SetErr(err != nil)
+	fl.span.End()
 	off := 0
 	for _, t := range batch {
 		t.batch, t.off, t.err, t.share = b, off, err, share
@@ -496,11 +504,8 @@ func (a *Aggregator) complete(fut Response, span obs.ActiveSpan, batch []*Ticket
 		if !t.lease.Resolve() {
 			share.release() // abandoned while in flight
 		}
-		close(t.done)
+		t.sig.Complete()
 	}
-	a.mu.Lock()
-	a.inFlight--
-	a.mu.Unlock()
 }
 
 // Close ships the forming batch, fails later enqueues with ErrClosed, and
@@ -512,8 +517,9 @@ func (a *Aggregator) Close() {
 	}
 	a.mu.Lock()
 	a.closed = true
-	a.flushLocked()
+	fl := a.takeLocked()
 	a.mu.Unlock()
+	fl.send()
 	a.flying.Wait()
 }
 

@@ -104,18 +104,18 @@ type call struct {
 }
 
 type fakeResponse struct {
-	done     chan struct{}
+	sig      rpc.Completion
 	payload  []byte
 	err      error
 	peer     *fakePeer
 	released atomic.Bool
 }
 
-func (r *fakeResponse) Done() <-chan struct{} { return r.done }
-func (r *fakeResponse) Wait() ([]byte, error) { <-r.done; return r.payload, r.err }
+func (r *fakeResponse) OnDone(fn func()) bool { return r.sig.OnDone(fn) }
+func (r *fakeResponse) Wait() ([]byte, error) { <-r.sig.Done(); return r.payload, r.err }
 func (r *fakeResponse) WaitCtx(ctx context.Context) ([]byte, error) {
 	select {
-	case <-r.done:
+	case <-r.sig.Done():
 		return r.payload, r.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
@@ -143,7 +143,7 @@ func (p *fakePeer) transport(_ context.Context, _ int32, m rpc.Method, payload [
 	first := len(p.calls) == 0
 	p.calls = append(p.calls, c)
 	p.mu.Unlock()
-	r := &fakeResponse{done: make(chan struct{}), peer: p}
+	r := &fakeResponse{peer: p}
 	go func() {
 		if p.gate != nil {
 			<-p.gate
@@ -156,7 +156,7 @@ func (p *fakePeer) transport(_ context.Context, _ int32, m rpc.Method, payload [
 			ids = ids[:p.short]
 		}
 		r.payload, r.err = p.tc.respond(ids), p.fail
-		close(r.done)
+		r.sig.Complete()
 	}()
 	return r
 }
@@ -330,12 +330,10 @@ func TestEmptyEnqueue(t *testing.T) {
 		p := &fakePeer{tc: tc}
 		a := NewTier(tc.tier, p.transport, 1, Options{})
 		tk := a.Enqueue(nil)
-		select {
-		case <-tk.Done():
-		default:
+		if tk.OnDone(func() {}) {
 			t.Fatal("empty ticket not resolved immediately")
 		}
-		b, off, err := tk.Result()
+		b, off, err := tk.Wait(context.Background())
 		if err != nil || off != 0 {
 			t.Fatalf("empty enqueue = (%v, %d, %v)", b, off, err)
 		}

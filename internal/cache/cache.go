@@ -223,8 +223,8 @@ func (c *LRU[R]) GetOrReserve(sh, local int32) (R, bool, *Flight[R], bool) {
 //
 //   - a cache hit: (row, true, nil, false);
 //   - leadership of a new flight: (_, false, flight, true) — the caller MUST
-//     issue the fetch and either Fulfill the flight or AttachSource so any
-//     waiter can resolve it;
+//     issue the fetch and have the flight Fulfilled whether or not it still
+//     waits itself (the fetch chain does so in the response's hook);
 //   - a coalesced wait on an existing flight: (_, false, flight, false) —
 //     the caller just Waits.
 //
@@ -253,13 +253,7 @@ func (c *LRU[R]) GetOrReserveAt(sh, local int32, epoch uint64, mass float64) (R,
 		c.ctr.coalesced.Inc(1)
 		return zero, false, f, false
 	}
-	f := &Flight[R]{
-		c:     c,
-		key:   key,
-		mass:  mass,
-		done:  make(chan struct{}),
-		ready: make(chan struct{}),
-	}
+	f := &Flight[R]{c: c, key: key, mass: mass}
 	s.flights[key] = f
 	s.mu.Unlock()
 	c.misses.Add(1)
@@ -300,43 +294,30 @@ func (s *stripe[R]) unlink(e *entry[R]) {
 	e.prev, e.next = nil, nil
 }
 
-// add inserts a row, evicting from the LRU tail until the stripe fits its
-// budget. Rows larger than the whole stripe budget are not admitted.
-func (c *LRU[R]) add(key ckey, row R) {
+// insertLocked inserts a row, evicting from the LRU tail until the stripe fits
+// its budget, and returns the resident bytes/entries deltas and the eviction
+// count for the caller to publish after unlocking. Rows larger than the whole
+// stripe budget are not admitted. Caller holds s.mu.
+func (c *LRU[R]) insertLocked(s *stripe[R], key ckey, row R) (bytes, entries, evicted int64) {
 	b := c.size(row)
-	s := c.stripeFor(key)
-	s.mu.Lock()
-	if _, dup := s.items[key]; dup {
-		// A (vertex, epoch) pair resolves to exactly one row, so a duplicate
-		// insert carries identical data.
-		s.mu.Unlock()
-		return
+	// A (vertex, epoch) pair resolves to exactly one row, so a duplicate
+	// insert carries identical data.
+	if _, dup := s.items[key]; dup || b > s.budget {
+		return 0, 0, 0
 	}
-	if b > s.budget {
-		s.mu.Unlock()
-		return
-	}
-	var evicted, freed int64
 	for s.bytes+b > s.budget && s.tail != nil {
 		victim := s.tail
 		s.unlink(victim)
 		delete(s.items, victim.key)
 		s.bytes -= victim.bytes
-		freed += victim.bytes
+		bytes -= victim.bytes
 		evicted++
 	}
 	e := &entry[R]{key: key, row: row, bytes: b}
 	s.items[key] = e
 	s.moveToFront(e)
 	s.bytes += b
-	s.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(evicted)
-		c.ctr.evictions.Inc(evicted)
-	}
-	// Process-wide occupancy gauges for the /metrics endpoint.
-	c.ctr.bytes.Add(b - freed)
-	c.ctr.entries.Add(1 - evicted)
+	return bytes + b, 1 - evicted, evicted
 }
 
 // Stats is a point-in-time snapshot of one cache's counters.
@@ -386,66 +367,22 @@ func (c *LRU[R]) Stats() Stats {
 	return st
 }
 
-// Drain resolves every flight still in the table whose leader armed it
-// (AttachSource), blocking on each source: the machine calls it at shutdown,
-// after closing the transports so every source has fired, to hand back the
-// response buffers of fetches whose waiters all gave up. Nil-safe.
-func (c *LRU[R]) Drain() {
-	if c == nil {
-		return
-	}
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		pending := make([]*Flight[R], 0, len(s.flights))
-		for _, f := range s.flights {
-			pending = append(pending, f)
-		}
-		s.mu.Unlock()
-		for _, f := range pending {
-			select {
-			case <-f.ready:
-				<-f.src
-				f.resolve()
-			default: // leader still between reserve and arm: its own wait resolves it
-			}
-		}
-	}
-}
-
 // Flight is one in-flight fetch of a single row, shared by every query that
-// missed on the key while the fetch was pending.
-//
-// Lifecycle: the leader (the caller GetOrReserveAt elected) issues the RPC
-// and calls AttachSource with the response's done channel plus a resolve
-// callback that decodes the response and Fulfills every flight of the
-// request group. Resolution can then be driven by ANY participant — leader
-// or waiter — whichever observes the response first, so a leader that
-// abandons its query (deadline, batch abort) never strands the waiters: the
-// next Wait resolves the group itself once the response arrives.
+// missed on the key while the fetch was pending. The leader (the caller
+// GetOrReserveAt elected) issues the fetch and its completion hook — not a
+// waiter — calls Fulfill, so the flight resolves whether or not its leader
+// still waits, and a waiter blocks on the flight's one channel.
 type Flight[R any] struct {
-	c    *LRU[R]
-	key  ckey
-	mass float64 // max PPR mass among reservers; stripe-lock guarded
+	c   *LRU[R]
+	key ckey
 
-	once sync.Once
-	done chan struct{}
-	row  R
-	err  error
-
-	ready   chan struct{} // closed by AttachSource
-	src     <-chan struct{}
-	resolve func()
-}
-
-// AttachSource arms external resolution: src is closed when the underlying
-// response (or failure) is available, and resolve — which must be safe to
-// call from multiple goroutines — turns it into Fulfill calls. Must be
-// called at most once, by the flight's leader.
-func (f *Flight[R]) AttachSource(src <-chan struct{}, resolve func()) {
-	f.src = src
-	f.resolve = resolve
-	close(f.ready)
+	// Guarded by the key's stripe lock; row and err are immutable once
+	// resolved is set.
+	mass     float64       // max PPR mass among reservers
+	done     chan struct{} // made by the first waiter that has to block
+	resolved bool
+	row      R
+	err      error
 }
 
 // Fulfill completes the flight: on success the row (which must be
@@ -454,58 +391,65 @@ func (f *Flight[R]) AttachSource(src <-chan struct{}, resolve func()) {
 // all cases the flight leaves the in-flight table and every waiter is
 // released. Extra calls are no-ops.
 func (f *Flight[R]) Fulfill(row R, err error) {
-	f.once.Do(func() {
-		c := f.c
-		s := c.stripeFor(f.key)
-		admitted := err == nil
-		if admitted && c.admit != nil {
-			s.mu.Lock()
-			mass := f.mass
-			s.mu.Unlock()
-			if admitted = c.admit(mass); !admitted {
-				c.rejected.Add(1)
-				c.ctr.rejected.Inc(1)
-			}
-		}
-		// Insert before leaving the flight table, so a concurrent reserver
-		// always finds the row or the flight — never a gap that would elect a
-		// second leader.
-		if admitted {
-			c.add(f.key, row)
-		}
-		f.row, f.err = row, err
-		s.mu.Lock()
-		// Identity-compared, so a successor flight for the same key is never
-		// removed by a stale completion.
-		if s.flights[f.key] == f {
-			delete(s.flights, f.key)
-		}
+	c := f.c
+	s := c.stripeFor(f.key)
+	s.mu.Lock()
+	if f.resolved {
 		s.mu.Unlock()
-		close(f.done)
-	})
+		return
+	}
+	rejected := err == nil && c.admit != nil && !c.admit(f.mass)
+	var bytes, entries, evicted int64
+	if err == nil && !rejected {
+		// Inserted under the same lock hold that removes the flight, so a
+		// concurrent reserver always finds the row or the flight — never a
+		// gap that would elect a second leader.
+		bytes, entries, evicted = c.insertLocked(s, f.key, row)
+	}
+	f.row, f.err, f.resolved = row, err, true
+	// Identity-compared, so a successor flight for the same key is never
+	// removed by a stale completion.
+	if s.flights[f.key] == f {
+		delete(s.flights, f.key)
+	}
+	done := f.done
+	s.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
+	if rejected {
+		c.rejected.Add(1)
+		c.ctr.rejected.Inc(1)
+	}
+	if evicted > 0 {
+		c.evictions.Add(evicted)
+		c.ctr.evictions.Inc(evicted)
+	}
+	// Process-wide occupancy gauges for the /metrics endpoint.
+	c.ctr.bytes.Add(bytes)
+	c.ctr.entries.Add(entries)
 }
 
 // Wait blocks until the flight resolves or ctx ends. A ctx expiry abandons
 // only this waiter; the flight itself stays pending for the others and still
 // populates the cache when the response arrives.
 func (f *Flight[R]) Wait(ctx context.Context) (R, error) {
+	s := f.c.stripeFor(f.key)
+	s.mu.Lock()
+	if f.resolved {
+		s.mu.Unlock()
+		return f.row, f.err
+	}
+	if f.done == nil {
+		f.done = make(chan struct{})
+	}
+	done := f.done
+	s.mu.Unlock()
 	select {
-	case <-f.done:
+	case <-done:
 		return f.row, f.err
 	case <-ctx.Done():
-	case <-f.ready:
-		select {
-		case <-f.done:
-			return f.row, f.err
-		case <-ctx.Done():
-		case <-f.src:
-			// The response is in; resolve the group ourselves (idempotent) so
-			// no waiter depends on the leader still being around.
-			f.resolve()
-			<-f.done
-			return f.row, f.err
-		}
+		var zero R
+		return zero, ctx.Err()
 	}
-	var zero R
-	return zero, ctx.Err()
 }

@@ -92,7 +92,6 @@ func testDisabled[R any](t *testing.T, s suite[R]) {
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil cache stats = %+v, want zeros", st)
 	}
-	c.Drain() // nil-safe
 }
 
 func TestHitAfterFulfill(t *testing.T) { both(t, testHit[Row], testHit[[]float32]) }
@@ -225,52 +224,49 @@ func testWaitCtx[R any](t *testing.T, s suite[R]) {
 	}
 }
 
-// The leader arms external resolution and then disappears: a waiter that sees
-// the source channel close must resolve the flight itself — and with no
-// waiter at all, Drain does.
-func TestAbandonedLeaderResolves(t *testing.T) { both(t, testAbandoned[Row], testAbandoned[[]float32]) }
-func testAbandoned[R any](t *testing.T, s suite[R]) {
+// The leader disappears and the fetch's completion hook — some other
+// goroutine, not a waiter — fulfils the flight: blocked waiters are released
+// through the flight's one channel, a flight nobody waits on still populates
+// the cache, and a second Fulfill is a no-op.
+func TestFulfillWithoutLeader(t *testing.T) { both(t, testNoLeader[Row], testNoLeader[[]float32]) }
+func testNoLeader[R any](t *testing.T, s suite[R]) {
 	c := s.new(1<<20, 0)
 	fl := lead(t, c, 1, 1, 0, 1)
-	src := make(chan struct{})
-	var resolves atomic.Int64
-	fl.AttachSource(src, func() {
-		resolves.Add(1)
-		fl.Fulfill(s.mk(4, 2), nil)
-	})
-	_, _, waiterFl, _ := c.GetOrReserve(1, 1)
-	got := make(chan R, 1)
-	go func() {
-		row, err := waiterFl.Wait(context.Background())
-		if err != nil {
-			t.Error(err)
+	const waiters = 4
+	got := make(chan R, waiters)
+	for i := 0; i < waiters; i++ {
+		_, _, waiterFl, leader := c.GetOrReserve(1, 1)
+		if leader || waiterFl != fl {
+			t.Fatal("a second reserver must coalesce onto the leader's flight")
 		}
-		got <- row
-	}()
-	close(src) // the "response" lands; no one calls Fulfill on the waiter's behalf
-	select {
-	case row := <-got:
-		if !s.is(row, 4, 2) {
-			t.Fatalf("row = %+v", row)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter never resolved the flight itself")
+		go func() {
+			row, err := waiterFl.Wait(context.Background())
+			if err != nil {
+				t.Error(err)
+			}
+			got <- row
+		}()
 	}
-	if _, ok := c.Get(1, 1); !ok {
-		t.Fatal("waiter-driven resolution must still populate the cache")
+	go fl.Fulfill(s.mk(4, 2), nil) // the "hook"
+	for i := 0; i < waiters; i++ {
+		select {
+		case row := <-got:
+			if !s.is(row, 4, 2) {
+				t.Fatalf("row = %+v", row)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("waiter never released")
+		}
+	}
+	fl.Fulfill(s.mk(9, 9), errors.New("late duplicate"))
+	if row, err := fl.Wait(context.Background()); err != nil || !s.is(row, 4, 2) {
+		t.Fatalf("resolved flight changed by a second Fulfill: %+v, %v", row, err)
 	}
 
-	orphan := lead(t, c, 1, 2, 0, 1)
-	done := make(chan struct{})
-	close(done)
-	orphan.AttachSource(done, func() { orphan.Fulfill(s.mk(1, 3), nil) })
-	unarmed := lead(t, c, 1, 3, 0, 1) // leader still between reserve and arm
-	c.Drain()
+	lead(t, c, 1, 2, 0, 1).Fulfill(s.mk(1, 3), nil) // nobody ever waits
 	if _, ok := c.Get(1, 2); !ok {
-		t.Fatal("Drain did not resolve the flight nobody waits on")
+		t.Fatal("a flight nobody waits on must still populate the cache")
 	}
-	var zero R
-	unarmed.Fulfill(zero, errors.New("never issued"))
 }
 
 func TestConcurrentReserveElectsOneLeader(t *testing.T) {
@@ -316,7 +312,11 @@ func TestDuplicateInsertIsNoop(t *testing.T) { both(t, testDuplicate[Row], testD
 func testDuplicate[R any](t *testing.T, s suite[R]) {
 	c := s.new(1<<20, 0)
 	lead(t, c, 0, 0, 0, 0).Fulfill(s.mk(1, 1), nil)
-	c.add(ckey{addr: pack(0, 0)}, s.mk(1, 1))
+	key := ckey{addr: pack(0, 0)}
+	st := c.stripeFor(key)
+	st.mu.Lock()
+	c.insertLocked(st, key, s.mk(1, 1))
+	st.mu.Unlock()
 	if st := c.Stats(); st.Entries != 1 || st.Bytes != c.size(s.mk(1, 1)) {
 		t.Fatalf("stats after duplicate insert = %+v", st)
 	}

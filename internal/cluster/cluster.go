@@ -705,7 +705,6 @@ type RunResult struct {
 	RPCRequests  int64
 	RequestBytes int64
 	Timeouts     int64 // queries aborted by deadline or cancellation
-	Retries      int64 // transient-error RPC retries across all queries
 	// Errors lists the per-query failures. A timed-out query lands here
 	// with context.DeadlineExceeded in its chain while the rest of the
 	// batch completes normally (partial results, not batch abort).
@@ -740,7 +739,7 @@ func (c *Cluster) RunSSPPRBatch(ctx context.Context, queriesByMachine [][]int32,
 		pushes, localRows, remoteRows, haloRows int64
 		cacheHits, cacheCoalesced               int64
 		rpcRequests, requestBytes               int64
-		timeouts, retries                       int64
+		timeouts                                int64
 		errs                                    []QueryError
 	}
 	accs := make([][]acc, c.Opts.NumMachines)
@@ -782,7 +781,6 @@ func (c *Cluster) RunSSPPRBatch(ctx context.Context, queriesByMachine [][]int32,
 						q.Release() // only the stats are kept
 					}
 					a.timeouts += stats.Timeouts
-					a.retries += stats.Retries
 					a.rpcRequests += stats.RPCRequests
 					a.requestBytes += stats.RequestBytes
 					if err != nil {
@@ -814,7 +812,6 @@ func (c *Cluster) RunSSPPRBatch(ctx context.Context, queriesByMachine [][]int32,
 			res.RPCRequests += accs[m][p].rpcRequests
 			res.RequestBytes += accs[m][p].requestBytes
 			res.Timeouts += accs[m][p].timeouts
-			res.Retries += accs[m][p].retries
 			res.Errors = append(res.Errors, accs[m][p].errs...)
 		}
 	}

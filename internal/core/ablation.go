@@ -23,13 +23,13 @@ func (g *DistGraphStorage) fetchAblation(ctx context.Context, dst int32, locals 
 	}
 	f := &InfoFuture{t: neighborTier, dst: dst, n: len(locals), RemoteRows: int64(len(locals))}
 	if cfg.Mode == FetchSingle {
-		// One 8-byte single-ID request per vertex (retries excluded).
-		f.src = &seqSource{ctx: ctx, g: g, dst: dst, locals: locals, retry: cfg.Retry, zeroCopy: cfg.ZeroCopy}
+		// One 8-byte single-ID request per vertex.
+		f.src = &seqSource{ctx: ctx, g: g, dst: dst, locals: locals, zeroCopy: cfg.ZeroCopy}
 		return f
 	}
 	payload := wire.EncodeIDList(locals)
 	d := &direct{
-		fut:      g.Transport(ctx, dst, rpc.MethodGetNeighborInfosLoL, payload),
+		Response: g.Transport(ctx, dst, rpc.MethodGetNeighborInfosLoL, payload),
 		zeroCopy: cfg.ZeroCopy, rows: len(locals), bytes: int64(len(payload)),
 	}
 	d.decode = func(p []byte, zeroCopy bool) (agg.Batch, bool, error) {
@@ -49,15 +49,13 @@ func (g *DistGraphStorage) fetchAblation(ctx context.Context, dst int32, locals 
 
 // seqSource is the paper's "Single" baseline: one request-response round
 // trip per vertex, issued strictly in order when the result is first asked
-// for — no pipelining. It is "done" from the start; the round trips run
-// inside Result, under the issuing query's context.
+// for — no pipelining. The round trips run inside Wait, under the issuing
+// query's context.
 type seqSource struct {
 	ctx      context.Context
 	g        *DistGraphStorage
 	dst      int32
 	locals   []int32
-	retry    rpc.RetryPolicy // bounds transient per-vertex retries
-	retried  int64           // backoff rounds taken
 	zeroCopy bool
 
 	once   sync.Once
@@ -65,16 +63,14 @@ type seqSource struct {
 	err    error
 }
 
-var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
-
-func (s *seqSource) Done() <-chan struct{} { return closedChan }
-func (s *seqSource) Release()              {}
+func (s *seqSource) OnDone(func()) bool { return false }
+func (s *seqSource) Release()           {}
 
 func (s *seqSource) Accounting() (int64, int64) {
 	return int64(len(s.locals)), 8 * int64(len(s.locals))
 }
 
-func (s *seqSource) Result() (agg.Batch, int, error) {
+func (s *seqSource) Wait(context.Context) (agg.Batch, int, error) {
 	s.once.Do(func() {
 		merged := &wire.NeighborInfos{Indptr: []int32{0}}
 		var arena *mem.Arena
@@ -106,22 +102,11 @@ func (s *seqSource) Result() (agg.Batch, int, error) {
 	return s.merged, 0, s.err
 }
 
-// callOne fetches a single vertex's row, retrying transient failures when
-// the config opted in and the handle has a direct client to retry on (a
-// routed transport's failover subsumes same-destination retries).
+// callOne fetches a single vertex's row.
 func (s *seqSource) callOne(l int32, arena *mem.Arena) (*wire.NeighborInfos, error) {
-	payload := wire.EncodeIDList([]int32{l})
-	var resp []byte
-	var err error
-	if c := s.g.Clients[s.dst]; c != nil && s.retry.MaxAttempts != 0 {
-		p := s.retry
-		p.OnRetry = func(int, error) { s.retried++ }
-		resp, err = c.CallRetry(s.ctx, rpc.MethodGetNeighborInfoOne, payload, p)
-	} else {
-		fut := s.g.Transport(s.ctx, s.dst, rpc.MethodGetNeighborInfoOne, payload)
-		defer fut.Release()
-		resp, err = fut.WaitCtx(s.ctx)
-	}
+	fut := s.g.Transport(s.ctx, s.dst, rpc.MethodGetNeighborInfoOne, wire.EncodeIDList([]int32{l}))
+	defer fut.Release()
+	resp, err := fut.WaitCtx(s.ctx)
 	if err != nil {
 		return nil, err
 	}

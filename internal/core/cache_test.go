@@ -74,8 +74,8 @@ func remoteLocal(t *testing.T, storages []*DistGraphStorage, dst int32) int32 {
 }
 
 // TestCacheDedupSingleRPC: two fetches for the same remote vertex issued
-// before either is waited must coalesce into exactly one server request, and
-// a later fetch must hit the cache without any RPC at all.
+// before either is waited must cost exactly one server request, and a later
+// fetch must hit the cache without any RPC at all.
 func TestCacheDedupSingleRPC(t *testing.T) {
 	g := testGraph(11, 200, 1200)
 	storages, servers, _, cleanup := cachedDeployment(t, g, 2, 1<<20)
@@ -92,8 +92,10 @@ func TestCacheDedupSingleRPC(t *testing.T) {
 	if got := f2.RemoteRows; got != 0 {
 		t.Fatalf("coalesced RemoteRows = %d, want 0", got)
 	}
-	if got := f2.CacheCoalesced; got != 1 {
-		t.Fatalf("coalesced count = %d, want 1", got)
+	// A flight resolves in its response's completion hook, waited on or not:
+	// on a fast loopback the row can already be cached when f2 reserves it.
+	if got := f2.CacheCoalesced + f2.CacheHits; got != 1 {
+		t.Fatalf("second fetch: %d coalesced + %d hits, want 1 in total", f2.CacheCoalesced, f2.CacheHits)
 	}
 	b1, err := f1.WaitCtx(ctx)
 	if err != nil {

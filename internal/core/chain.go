@@ -26,11 +26,16 @@ import (
 // is a tier value fixed at construction; the stages themselves (cache.LRU,
 // agg.Aggregator, agg.Transport) are shared code.
 //
-// Buffer ownership has one rule. A response is decoded exactly once, by
-// whoever sees it first. Then either (cached) each row is copied into
-// cache-owned storage and the response buffer goes home at once, or
-// (uncached) the caller gets a view aliasing the pooled buffer, which goes
-// home when the caller Releases the future.
+// Buffer ownership has one rule. A response is decoded exactly once. Then
+// either (cached) each row is copied into cache-owned storage and the buffer
+// goes home at once, or (uncached) the caller gets a view aliasing the pooled
+// buffer, which goes home when the caller Releases the future.
+//
+// Completion has one rule too (rpc.Completion). The response travels back as
+// a chain of hooks — rpc future → routed/hedged call → flush → fetch — on the
+// connection's read loop, and a cache-mediated fetch does all the response
+// owes the machine there: decode, fulfil the flights it leads (which inserts
+// them), send the buffer home — whether or not its leader still waits.
 
 // tier binds one row type to the chain: the wire half it shares with the
 // aggregator, plus how decoded rows become cache entries and caller views.
@@ -201,37 +206,33 @@ func (c *Chain[R, V]) fetch(ctx context.Context, dst int32, epoch uint64, locals
 		}
 		method, payload := c.t.wire.Encode(epoch, lead)
 		f.src = &direct{
-			fut:    c.g.Transport(ctx, dst, method, payload),
-			decode: c.t.wire.Decode, zeroCopy: zeroCopy, rows: len(lead), bytes: int64(len(payload)),
+			Response: c.g.Transport(ctx, dst, method, payload),
+			decode:   c.t.wire.Decode, zeroCopy: zeroCopy, rows: len(lead), bytes: int64(len(payload)),
 		}
 	}
-	if f.leaders != nil {
-		done, resolve := f.src.Done(), f.resolve
-		for _, fl := range f.leaders {
-			fl.AttachSource(done, resolve)
-		}
+	if f.leaders != nil && !f.src.OnDone(f.fulfil) {
+		f.fulfil() // already resolved: the hook is ours to run
 	}
 	return f
 }
 
-// source is the wire request behind a fetch: an aggregator ticket or a
-// direct call. Result is valid once Done is closed and decodes at most once,
-// whoever calls it; Release hands back the source's hold on the response
-// buffer and is idempotent.
+// source is the wire request behind a fetch: an aggregator ticket or a direct
+// call. Wait blocks for the rows (decoded at most once) or ctx's end, and not
+// at all inside the OnDone hook; Release is idempotent.
 type source interface {
-	Done() <-chan struct{}
-	Result() (b agg.Batch, off int, err error)
+	OnDone(fn func()) bool
+	Wait(ctx context.Context) (b agg.Batch, off int, err error)
 	Release()
 	Accounting() (requests, bytes int64)
 }
 
 // direct is one un-aggregated wire request and its decode-once result.
 type direct struct {
-	fut      agg.Response
-	decode   func(payload []byte, zeroCopy bool) (agg.Batch, bool, error)
-	zeroCopy bool
-	rows     int
-	bytes    int64 // request payload size
+	agg.Response // the transport's pending result
+	decode       func(payload []byte, zeroCopy bool) (agg.Batch, bool, error)
+	zeroCopy     bool
+	rows         int
+	bytes        int64 // request payload size
 
 	once     sync.Once
 	b        agg.Batch
@@ -242,13 +243,14 @@ type direct struct {
 
 var errAbandoned = errors.New("core: fetch released before it resolved")
 
-func (d *direct) Done() <-chan struct{} { return d.fut.Done() }
-
 func (d *direct) Accounting() (int64, int64) { return 1, d.bytes }
 
-func (d *direct) Result() (agg.Batch, int, error) {
+func (d *direct) Wait(ctx context.Context) (agg.Batch, int, error) {
+	payload, err := d.Response.WaitCtx(ctx)
+	if err != nil && ctx.Err() != nil {
+		return nil, 0, ctx.Err()
+	}
 	d.once.Do(func() {
-		payload, err := d.fut.Wait()
 		aliased := false
 		if err == nil {
 			d.b, aliased, err = d.decode(payload, d.zeroCopy)
@@ -260,7 +262,7 @@ func (d *direct) Result() (agg.Batch, int, error) {
 		if err != nil || !aliased {
 			// Rows copied out (or the fetch failed): the payload buffer can
 			// go back to its pool right now.
-			d.fut.Release()
+			d.Response.Release()
 		}
 	})
 	return d.b, 0, d.err
@@ -272,7 +274,7 @@ func (d *direct) Result() (agg.Batch, int, error) {
 func (d *direct) Release() {
 	d.once.Do(func() { d.err = errAbandoned })
 	if d.released.CompareAndSwap(false, true) {
-		d.fut.Release()
+		d.Response.Release()
 		mem.PutArena(d.arena)
 	}
 }
@@ -298,15 +300,13 @@ type Future[R, V any] struct {
 	// Cache-mediated fetches: rows[i] was a hit or is filled by flights[i].
 	rows    []R
 	flights []*cache.Flight[R]
-	// leaders are the flights this fetch must resolve from src; resolve is
-	// idempotent and run by whichever participant sees src land first, so an
-	// abandoned leader never strands coalesced waiters.
+	// leaders are the flights this fetch leads; src's completion hook (fulfil)
+	// resolves them, so an abandoned leader never strands coalesced waiters.
 	leaders []*cache.Flight[R]
-	once    sync.Once
 
 	// src is the wire request this fetch issued (nil: none needed). Uncached,
 	// it is the wait source and the future holds its buffer until Release;
-	// cache-mediated, resolve owns it and the future only reads its
+	// cache-mediated, fulfil owns it and the future only reads its
 	// accounting.
 	src source
 
@@ -327,25 +327,22 @@ func readyFuture[R, V any](v V, err error) *Future[R, V] {
 	return &Future[R, V]{resolved: true, v: v, err: err}
 }
 
-// resolve fulfills the flights this fetch leads from its wire request. It
-// must only be called after src's Done channel closed.
-func (f *Future[R, V]) resolve() {
-	f.once.Do(func() {
-		b, off, err := f.src.Result()
-		if err != nil {
-			err = f.t.wrapErr(err)
-			var zero R
-			for _, fl := range f.leaders {
-				fl.Fulfill(zero, err)
-			}
-		} else {
-			f.t.fulfill(b, off, f.leaders)
+// fulfil is the completion hook of a cache-mediated fetch's wire request: it
+// fulfils the flights the fetch leads — each row copied into cache-owned
+// storage and inserted — and sends the response buffer home, so an abandoned
+// leader still resolves its flights and returns its buffer.
+func (f *Future[R, V]) fulfil() {
+	b, off, err := f.src.Wait(context.Background()) // resolved: does not block
+	if err != nil {
+		err = f.t.wrapErr(err)
+		var zero R
+		for _, fl := range f.leaders {
+			fl.Fulfill(zero, err)
 		}
-		// Rows are now cache-owned copies; the response buffer goes home —
-		// from here, not from the issuing query, so an abandoned leader still
-		// returns it.
-		f.src.Release()
-	})
+	} else {
+		f.t.fulfill(b, off, f.leaders)
+	}
+	f.src.Release()
 }
 
 // Wait blocks for the rows.
@@ -382,19 +379,10 @@ func (f *Future[R, V]) WaitCtx(ctx context.Context) (V, error) {
 		if f.err == nil {
 			f.v, f.err = f.t.assemble(f.rows)
 		}
+	} else if b, off, err := f.src.Wait(ctx); err == nil {
+		f.v = f.t.view(b, off, f.n)
 	} else {
-		select {
-		case <-f.src.Done():
-			var b agg.Batch
-			var off int
-			if b, off, f.err = f.src.Result(); f.err == nil {
-				f.v = f.t.view(b, off, f.n)
-			} else {
-				f.err = f.t.wrapErr(f.err)
-			}
-		case <-ctx.Done():
-			f.err = ctx.Err()
-		}
+		f.err = f.t.wrapErr(err)
 	}
 	f.err = wrapPeerErr(f.dst, f.err)
 	return f.v, f.err
@@ -411,20 +399,16 @@ func (f *Future[R, V]) Release() {
 	}
 }
 
-// Wire returns the wire requests, request payload bytes and transient-error
-// retries attributed to this fetch. An aggregated flush is shared: its one
-// request is charged to the fetch that opened it and zero to the riders, so
-// per-query sums still equal the true wire totals. Call after the fetch
-// resolved — an aggregated fetch reports zeros until its flush completes.
-func (f *Future[R, V]) Wire() (requests, bytes, retries int64) {
+// Wire returns the wire requests and request payload bytes attributed to this
+// fetch. An aggregated flush is shared: its one request is charged to the
+// fetch that opened it and zero to the riders, so per-query sums still equal
+// the true wire totals. Call after the fetch resolved — an aggregated fetch
+// reports zeros until its flush completes.
+func (f *Future[R, V]) Wire() (requests, bytes int64) {
 	if f.src == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
-	requests, bytes = f.src.Accounting()
-	if s, ok := f.src.(*seqSource); ok {
-		retries = s.retried
-	}
-	return requests, bytes, retries
+	return f.src.Accounting()
 }
 
 // wrapPeerErr attributes a remote-fetch failure to the destination shard

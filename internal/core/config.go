@@ -17,8 +17,6 @@ import (
 	"context"
 	"errors"
 	"time"
-
-	"pprengine/internal/rpc"
 )
 
 // FetchMode selects the RPC request strategy — the axis of the Table 3
@@ -70,11 +68,6 @@ type Config struct {
 	// context.DeadlineExceeded once it expires. Zero means no per-query
 	// deadline beyond the caller's context.
 	QueryTimeout time.Duration
-	// Retry enables bounded retries of transient transport failures on the
-	// sequential FetchSingle path (the batched modes share one in-flight
-	// future per shard and do not retry). Retry.MaxAttempts == 0 disables
-	// retries; see rpc.RetryPolicy for the backoff parameters.
-	Retry rpc.RetryPolicy
 	// DeterministicPop sorts each Pop round's activated vertices by
 	// (shard, local) before pushing, and makes every push claim all of its
 	// rows before applying any neighbor delta. Without it rows are pushed in

@@ -19,7 +19,6 @@ type QueryStats struct {
 	RemoteRows     int64 // vertices fetched over RPC (cache hits excluded)
 	HaloRows       int64 // remote vertices served by the local halo row cache
 	TouchedNodes   int
-	Retries        int64 // transient-error RPC retries taken by this query
 	Timeouts       int64 // 1 when the query was cut short by deadline/cancel
 	CacheHits      int64 // remote rows served by the dynamic neighbor-row cache
 	CacheCoalesced int64 // rows that joined another query's in-flight fetch
@@ -245,14 +244,13 @@ func runLoop(ctx context.Context, g *DistGraphStorage, m Engine, sc *loopScratch
 		})
 		pushSpan.End()
 	}
-	// account adds a resolved fetch's retry and wire counters to stats. It
+	// account adds a resolved fetch's wire counters to stats. It
 	// must run after the wait: an aggregated fetch only knows its share of
 	// the flush once the flush resolved.
 	account := func(fut *InfoFuture) {
-		reqs, bytes, retries := fut.Wire()
+		reqs, bytes := fut.Wire()
 		stats.RPCRequests += reqs
 		stats.RequestBytes += bytes
-		stats.Retries += retries
 	}
 	// wait resolves one remote fetch of the round.
 	wait := func(p pendingFetch) (batch NeighborBatch, err error) {

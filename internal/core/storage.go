@@ -460,7 +460,7 @@ func NewDistGraphStorage(shardID int32, local *shard.Shard, loc *shard.Locator, 
 		if c := clients[dst]; c != nil {
 			return c.CallCtx(ctx, m, payload)
 		}
-		return agg.Failed(fmt.Errorf("core: no client for shard %d", dst))
+		return rpc.Failed(fmt.Errorf("core: no client for shard %d", dst))
 	}
 	return g
 }

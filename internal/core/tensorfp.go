@@ -88,7 +88,7 @@ func RunTensorSSPPR(ctx context.Context, g *DistGraphStorage, sourceLocal int32,
 		stopIssue()
 
 		account := func(fut *InfoFuture) {
-			reqs, bytes, _ := fut.Wire()
+			reqs, bytes := fut.Wire()
 			stats.RPCRequests += reqs
 			stats.RequestBytes += bytes
 		}

@@ -2,7 +2,9 @@ package ha
 
 import (
 	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pprengine/internal/rpc"
@@ -26,8 +28,9 @@ type Endpoint struct {
 
 	lat rpc.LatencyModel
 
-	mu     sync.Mutex
-	client *rpc.Client
+	mu     sync.Mutex                 // serializes dials and retirement
+	client atomic.Pointer[rpc.Client] // read lock-free on the request path
+	closed bool
 	// Counters of retired (dead, re-dialed) clients, so NetStats is
 	// cumulative across reconnects.
 	prevReqs, prevSent, prevRecv int64
@@ -45,33 +48,47 @@ func NewEndpoint(machine int, shard int32, addr, key string, lat rpc.LatencyMode
 // Key returns the health-tracking key (hosting machine or address).
 func (e *Endpoint) Key() string { return e.key }
 
+// live is the request path's lock-free fast path; nil: Client must (re-)dial.
+func (e *Endpoint) live() *rpc.Client {
+	if c := e.client.Load(); c != nil && c.Healthy() {
+		return c
+	}
+	return nil
+}
+
+// errEndpointClosed keeps a failover racing Close from leaving a connection behind.
+var errEndpointClosed = errors.New("ha: endpoint closed")
+
 // Client returns a live client for the endpoint, dialing (or re-dialing a
 // dead connection) as needed. ctx bounds the dial.
 func (e *Endpoint) Client(ctx context.Context) (*rpc.Client, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.client != nil && e.client.Healthy() {
-		return e.client, nil
+	if c := e.live(); c != nil {
+		return c, nil
+	}
+	if e.closed {
+		return nil, errEndpointClosed
 	}
 	e.retireLocked()
 	c, err := rpc.DialCtx(ctx, e.Addr, e.lat)
 	if err != nil {
 		return nil, err
 	}
-	e.client = c
+	e.client.Store(c)
 	return c, nil
 }
 
 // retireLocked accumulates and closes the current client. Caller holds e.mu.
 func (e *Endpoint) retireLocked() {
-	if e.client == nil {
+	c := e.client.Swap(nil)
+	if c == nil {
 		return
 	}
-	e.prevReqs += e.client.RequestsSent.Load()
-	e.prevSent += e.client.BytesSent.Load()
-	e.prevRecv += e.client.BytesReceived.Load()
-	e.client.Close()
-	e.client = nil
+	e.prevReqs += c.RequestsSent.Load()
+	e.prevSent += c.BytesSent.Load()
+	e.prevRecv += c.BytesReceived.Load()
+	c.Close()
 }
 
 // NetStats returns cumulative client-side traffic through this endpoint,
@@ -80,17 +97,18 @@ func (e *Endpoint) NetStats() (requests, bytesSent, bytesReceived int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	requests, bytesSent, bytesReceived = e.prevReqs, e.prevSent, e.prevRecv
-	if e.client != nil {
-		requests += e.client.RequestsSent.Load()
-		bytesSent += e.client.BytesSent.Load()
-		bytesReceived += e.client.BytesReceived.Load()
+	if c := e.client.Load(); c != nil {
+		requests += c.RequestsSent.Load()
+		bytesSent += c.BytesSent.Load()
+		bytesReceived += c.BytesReceived.Load()
 	}
 	return
 }
 
-// Close tears down the current connection.
+// Close tears down the current connection; later dials fail.
 func (e *Endpoint) Close() {
 	e.mu.Lock()
+	e.closed = true
 	e.retireLocked()
 	e.mu.Unlock()
 }
@@ -98,10 +116,3 @@ func (e *Endpoint) Close() {
 // dialTimeout bounds endpoint dials issued from the request path: a dial to
 // a dead-but-routable address must not stall a failover attempt for long.
 const dialTimeout = 2 * time.Second
-
-// dial is Client with the standard bounded dial context.
-func (e *Endpoint) dial() (*rpc.Client, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
-	defer cancel()
-	return e.Client(ctx)
-}

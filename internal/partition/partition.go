@@ -14,9 +14,10 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"pprengine/internal/graph"
 )
@@ -158,35 +159,26 @@ type working struct {
 	nwt    []int64 // node weight = number of original vertices inside
 }
 
-func newWorking(g *graph.Graph) *working {
-	// Symmetrize (cheaply: add both directions, dedup via sort) so matching
-	// and cut computation see an undirected structure.
-	type he struct {
-		u, v int32
-		w    float64
-	}
-	edges := make([]he, 0, g.NumEdges()*2)
-	for v := graph.NodeID(0); int(v) < g.NumNodes; v++ {
-		ws := g.EdgeWeights(v)
-		for i, u := range g.Neighbors(v) {
-			if u == v {
-				continue
-			}
-			edges = append(edges, he{v, u, float64(ws[i])}, he{u, v, float64(ws[i])})
+// halfEdge is one direction of a weighted edge on its way into a working
+// graph's adjacency.
+type halfEdge struct {
+	u, v int32
+	w    float64
+}
+
+// setAdjacency fills w's CSR from edges: sorted by (u, v), with each run of
+// equal (u, v) merged into one entry carrying the run's summed weight. The
+// sort is pdqsort over the concrete type — the same algorithm, and so the
+// same order within a run and the same float sums, as the sort.Slice it
+// replaces, minus the reflection-based swaps.
+func (w *working) setAdjacency(edges []halfEdge) {
+	slices.SortFunc(edges, func(a, b halfEdge) int {
+		if a.u != b.u {
+			return cmp.Compare(a.u, b.u)
 		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
+		return cmp.Compare(a.v, b.v)
 	})
-	w := &working{n: g.NumNodes}
-	w.indptr = make([]int64, g.NumNodes+1)
-	w.nwt = make([]int64, g.NumNodes)
-	for i := range w.nwt {
-		w.nwt[i] = 1
-	}
+	w.indptr = make([]int64, w.n+1)
 	for i := 0; i < len(edges); {
 		j := i
 		acc := 0.0
@@ -199,9 +191,30 @@ func newWorking(g *graph.Graph) *working {
 		w.indptr[edges[i].u+1]++
 		i = j
 	}
-	for v := 0; v < g.NumNodes; v++ {
+	for v := 0; v < w.n; v++ {
 		w.indptr[v+1] += w.indptr[v]
 	}
+}
+
+func newWorking(g *graph.Graph) *working {
+	// Symmetrize (cheaply: add both directions, dedup via sort) so matching
+	// and cut computation see an undirected structure.
+	edges := make([]halfEdge, 0, g.NumEdges()*2)
+	for v := graph.NodeID(0); int(v) < g.NumNodes; v++ {
+		ws := g.EdgeWeights(v)
+		for i, u := range g.Neighbors(v) {
+			if u == v {
+				continue
+			}
+			edges = append(edges, halfEdge{v, u, float64(ws[i])}, halfEdge{u, v, float64(ws[i])})
+		}
+	}
+	w := &working{n: g.NumNodes}
+	w.nwt = make([]int64, g.NumNodes)
+	for i := range w.nwt {
+		w.nwt[i] = 1
+	}
+	w.setAdjacency(edges)
 	return w
 }
 
@@ -267,11 +280,7 @@ func coarsen(w *working, rng *rand.Rand) (*coarseLevel, *working) {
 	for v := int32(0); int(v) < w.n; v++ {
 		next.nwt[coarseOf[v]] += w.nwt[v]
 	}
-	type he struct {
-		u, v int32
-		w    float64
-	}
-	edges := make([]he, 0, len(w.adj))
+	edges := make([]halfEdge, 0, len(w.adj))
 	for v := int32(0); int(v) < w.n; v++ {
 		cv := coarseOf[v]
 		for i := w.indptr[v]; i < w.indptr[v+1]; i++ {
@@ -279,31 +288,10 @@ func coarsen(w *working, rng *rand.Rand) (*coarseLevel, *working) {
 			if cu == cv {
 				continue
 			}
-			edges = append(edges, he{cv, cu, w.ewt[i]})
+			edges = append(edges, halfEdge{cv, cu, w.ewt[i]})
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
-	})
-	next.indptr = make([]int64, cn+1)
-	for i := 0; i < len(edges); {
-		j := i
-		acc := 0.0
-		for j < len(edges) && edges[j].u == edges[i].u && edges[j].v == edges[i].v {
-			acc += edges[j].w
-			j++
-		}
-		next.adj = append(next.adj, edges[i].v)
-		next.ewt = append(next.ewt, acc)
-		next.indptr[edges[i].u+1]++
-		i = j
-	}
-	for v := int32(0); v < cn; v++ {
-		next.indptr[v+1] += next.indptr[v]
-	}
+	next.setAdjacency(edges)
 	return &coarseLevel{fine: w, fineN: w.n, coarseOf: coarseOf}, next
 }
 

@@ -1,10 +1,12 @@
 package partition
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"pprengine/internal/datasets"
 	"pprengine/internal/graph"
 )
 
@@ -266,5 +268,45 @@ func TestPartitionDisconnectedGraph(t *testing.T) {
 	// Ideal: one ring per part, zero cut.
 	if q.EdgeCut > 8 {
 		t.Fatalf("disconnected graph cut = %d", q.EdgeCut)
+	}
+}
+
+// assignmentHash is FNV-1a over the assignment, one byte per vertex.
+func assignmentHash(a Assignment) uint64 {
+	h := fnv.New64a()
+	for _, p := range a {
+		h.Write([]byte{byte(p)})
+	}
+	return h.Sum64()
+}
+
+// TestPartitionGolden pins Partition's output — every vertex's part and the
+// edge cut — on the four stand-in datasets (1/16 scale, k=4) at seeds 1–3 to
+// what the sort.Slice-based coarsener produced, so a change to how edge lists
+// are sorted and merged (the order float weights are summed in) cannot move a
+// single vertex unnoticed.
+func TestPartitionGolden(t *testing.T) {
+	golden := map[string][3]struct {
+		hash uint64
+		cut  int64
+	}{
+		"products-sim":   {{0x13265700dd7cd76d, 127354}, {0x16c564349698ed6f, 124088}, {0x4111e6f568f33ca3, 125830}},
+		"twitter-sim":    {{0x8a02e683ff83f9bf, 237272}, {0x4a6a0c4518a36811, 235342}, {0x3c40eb84334969db, 240990}},
+		"friendster-sim": {{0xe8600c426c8d375, 317288}, {0xd79e6f7e8eefb9b9, 317168}, {0x3ea392cf593a909, 316476}},
+		"papers-sim":     {{0x6b45e0db43ae5657, 134978}, {0xaa39b8264119cf39, 136534}, {0x5480842fd02c74af, 134156}},
+	}
+	for _, spec := range datasets.Specs {
+		g := spec.Scaled(16).Generate()
+		for seed := int64(1); seed <= 3; seed++ {
+			a, err := Partition(g, 4, Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, cut := assignmentHash(a), Evaluate(g, a).EdgeCut
+			want := golden[spec.Name][seed-1]
+			if got != want.hash || cut != want.cut {
+				t.Errorf("%s seed %d: assignment %#x, edge cut %d; golden %#x, %d", spec.Name, seed, got, cut, want.hash, want.cut)
+			}
+		}
 	}
 }

@@ -233,8 +233,12 @@ func readPayload(p *mem.Pool, r io.Reader, n int) (*mem.Buf, error) {
 }
 
 // Server dispatches incoming requests to registered handlers. Each accepted
-// connection gets a reader goroutine; each request runs in its own goroutine
-// so slow handlers do not head-of-line block the connection.
+// connection gets a reader goroutine, which hands every request to a worker,
+// so a slow handler cannot head-of-line block the connection. Workers are
+// persistent — an idle one takes the next request with its stack already
+// grown — and a request that finds them all busy starts a new one: a handler
+// that blocks (the query service, an epoch wait) costs a goroutine, never a
+// stalled read loop.
 type Server struct {
 	mu       sync.RWMutex
 	handlers map[Method]HandlerBuf
@@ -249,6 +253,12 @@ type Server struct {
 	// per-connection reader goroutines, which exit only when their
 	// connection closes — waiting on wg alone would never drain).
 	reqWG sync.WaitGroup
+
+	// work hands a request to a parked worker (unbuffered: a send succeeds only
+	// while one is receiving); idle counts those, workers all of them.
+	work    chan task
+	idle    atomic.Int32
+	workers sync.WaitGroup
 
 	// MaxRequestBytes rejects request payloads larger than this when > 0
 	// (a guard against misbehaving clients; responses are not limited).
@@ -292,7 +302,7 @@ func (s *Server) Stats() Stats {
 
 // NewServer returns a server with no handlers registered.
 func NewServer() *Server {
-	return &Server{handlers: make(map[Method]HandlerBuf)}
+	return &Server{handlers: make(map[Method]HandlerBuf), work: make(chan task)}
 }
 
 // Handle registers h for method m, replacing any previous handler.
@@ -374,15 +384,82 @@ func (s *Server) ListenAndServe() (addr string, err error) {
 	return lis.Addr().String(), nil
 }
 
+// srvConn is one accepted connection's write half: responses are serialized
+// on the connection anyway, so whoever holds wmu also owns the one write
+// buffer writeFrame reuses across requests.
+type srvConn struct {
+	conn net.Conn
+	wmu  sync.Mutex
+	wbuf []byte
+}
+
+func (c *srvConn) reply(reqID uint64, flags byte, m Method, payload []byte) {
+	c.wmu.Lock()
+	writeFrame(c.conn, &c.wbuf, reqID, flags, m, obs.SpanContext{}, payload)
+	c.wmu.Unlock()
+}
+
+// task is one request on its way to a worker.
+type task struct {
+	c       *srvConn
+	reqID   uint64
+	method  Method
+	sc      obs.SpanContext
+	payload *mem.Buf
+	h       HandlerBuf
+	counted bool // joined reqWG
+}
+
+// refuse is the handler of a request the server will not serve.
+func refuse(format string, args ...any) HandlerBuf {
+	err := fmt.Errorf(format, args...)
+	return func(context.Context, []byte) (*mem.Buf, error) { return nil, err }
+}
+
+// maxIdleWorkers bounds the parked workers a server keeps; a burst grows the
+// pool as far as it must and the surplus exits as it drains.
+const maxIdleWorkers = 16
+
+// dispatch hands t to a parked worker, or starts one when all are busy.
+func (s *Server) dispatch(t task) {
+	s.wg.Add(1)
+	select {
+	case s.work <- t:
+	default:
+		s.workers.Add(1)
+		go s.worker(t)
+	}
+}
+
+func (s *Server) worker(t task) {
+	defer s.workers.Done()
+	for ok := true; ok; {
+		s.run(t)
+		if s.idle.Add(1) > maxIdleWorkers {
+			s.idle.Add(-1)
+			return
+		}
+		t, ok = <-s.work // closed by teardown
+		s.idle.Add(-1)
+	}
+}
+
+// teardown closes every connection, waits out the readers and requests in
+// flight, then ends the parked workers: work's only senders, the readers, are gone.
+func (s *Server) teardown() {
+	s.conns.Range(func(k, _ any) bool {
+		k.(net.Conn).Close()
+		return true
+	})
+	s.wg.Wait()
+	close(s.work)
+	s.workers.Wait()
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	s.connsTotal.Add(1)
-	// One write buffer per connection, owned by whoever holds wmu: responses
-	// are serialized on the connection anyway, so sharing the buffer costs
-	// nothing and lets writeFrame reuse it across requests instead of
-	// reallocating in every request goroutine.
-	var wmu sync.Mutex
-	var wbuf []byte
+	c := &srvConn{conn: conn}
 	var hdr [14]byte
 	for {
 		reqID, flags, method, sc, payload, err := readFrame(&framePool, conn, &hdr)
@@ -399,83 +476,59 @@ func (s *Server) serveConn(conn net.Conn) {
 		// interleave with Shutdown's write-locked draining flip: once Shutdown
 		// starts waiting on reqWG, no new handler can join it.
 		s.mu.RLock()
-		h, ok := s.handlers[method]
+		h := s.handlers[method]
 		draining := s.draining.Load()
 		if !draining {
 			s.reqWG.Add(1)
 		}
 		s.mu.RUnlock()
-		if draining {
-			payload.Release()
-			s.errCounts[method].Add(1)
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				wmu.Lock()
-				writeFrame(conn, &wbuf, reqID, flagError, method, obs.SpanContext{}, []byte("rpc: server shutting down"))
-				wmu.Unlock()
-			}()
-			continue
+		t := task{c: c, reqID: reqID, method: method, sc: sc, payload: payload, h: h, counted: !draining}
+		switch max := s.MaxRequestBytes; {
+		case draining:
+			t.h = refuse("rpc: server shutting down")
+		case max > 0 && payload.Len() > max:
+			t.h = refuse("rpc: request of %d bytes exceeds server limit %d", payload.Len(), max)
+		case h == nil:
+			t.h = refuse("rpc: no handler for method %d", method)
 		}
-		if max := s.MaxRequestBytes; max > 0 && payload.Len() > max {
-			n := payload.Len()
-			payload.Release()
-			s.errCounts[method].Add(1)
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				defer s.reqWG.Done()
-				wmu.Lock()
-				writeFrame(conn, &wbuf, reqID, flagError, method, obs.SpanContext{},
-					[]byte(fmt.Sprintf("rpc: request of %d bytes exceeds server limit %d", n, max)))
-				wmu.Unlock()
-			}()
-			continue
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.reqWG.Done()
-			// The request buffer is recycled once the response is on the
-			// wire — not before, because a handler may legally return (a view
-			// of) the request payload as its response.
-			defer payload.Release()
-			if !ok {
-				s.errCounts[method].Add(1)
-				wmu.Lock()
-				writeFrame(conn, &wbuf, reqID, flagError, method, obs.SpanContext{}, []byte(fmt.Sprintf("rpc: no handler for method %d", method)))
-				wmu.Unlock()
-				return
-			}
-			// Traced requests get a server-side span; the handler context
-			// carries that span (or the remote one when no tracer is
-			// attached), so handler-issued RPCs extend the same trace.
-			ctx := context.Background()
-			var span obs.ActiveSpan
-			if sc.Valid() {
-				if tr := s.tracer.Load(); tr != nil {
-					span = tr.StartSpan(sc, "rpc:"+method.name())
-					ctx = obs.ContextWith(ctx, span.Context())
-				} else {
-					ctx = obs.ContextWith(ctx, sc)
-				}
-			}
-			resp, err := h(ctx, payload.Bytes())
-			span.SetErr(err != nil)
-			span.End()
-			wmu.Lock()
-			defer wmu.Unlock()
-			if err != nil {
-				resp.Release()
-				s.errCounts[method].Add(1)
-				writeFrame(conn, &wbuf, reqID, flagError, method, obs.SpanContext{}, []byte(err.Error()))
-				return
-			}
-			s.bytesOut.Add(int64(resp.Len()))
-			writeFrame(conn, &wbuf, reqID, flagResponse, method, obs.SpanContext{}, resp.Bytes())
-			resp.Release()
-		}()
+		s.dispatch(t)
 	}
+}
+
+func (s *Server) run(t task) {
+	defer s.wg.Done()
+	if t.counted {
+		defer s.reqWG.Done()
+	}
+	// The request buffer is recycled once the response is on the wire — not
+	// before, because a handler may legally return (a view of) the request
+	// payload as its response.
+	defer t.payload.Release()
+	// Traced requests get a server-side span; the handler context carries
+	// that span (or the remote one when no tracer is attached), so
+	// handler-issued RPCs extend the same trace.
+	ctx := context.Background()
+	var span obs.ActiveSpan
+	if t.sc.Valid() {
+		if tr := s.tracer.Load(); tr != nil {
+			span = tr.StartSpan(t.sc, "rpc:"+t.method.name())
+			ctx = obs.ContextWith(ctx, span.Context())
+		} else {
+			ctx = obs.ContextWith(ctx, t.sc)
+		}
+	}
+	resp, err := t.h(ctx, t.payload.Bytes())
+	span.SetErr(err != nil)
+	span.End()
+	if err != nil {
+		resp.Release()
+		s.errCounts[t.method].Add(1)
+		t.c.reply(t.reqID, flagError, t.method, []byte(err.Error()))
+		return
+	}
+	s.bytesOut.Add(int64(resp.Len()))
+	t.c.reply(t.reqID, flagResponse, t.method, resp.Bytes())
+	resp.Release()
 }
 
 // name returns a stable label for well-known methods (the numeric value for
@@ -524,11 +577,7 @@ func (s *Server) Close() {
 	if lis != nil {
 		lis.Close()
 	}
-	s.conns.Range(func(k, _ any) bool {
-		k.(net.Conn).Close()
-		return true
-	})
-	s.wg.Wait()
+	s.teardown()
 }
 
 // Shutdown drains the server gracefully: it stops accepting connections,
@@ -560,12 +609,66 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
-	s.conns.Range(func(k, _ any) bool {
-		k.(net.Conn).Close()
-		return true
-	})
-	s.wg.Wait()
+	s.teardown()
 	return err
+}
+
+// Completion is the one-shot "the result is readable" signal behind every
+// pending result of the fetch chain (Future here, ha.CallFuture, agg.Ticket):
+// a consumer blocks on Done or registers one hook. The hook rule, for every
+// layer: a hook runs exactly once, on the goroutine that completes the result
+// — normally a connection's read loop — so it must not block, must not take a
+// lock that is held while a call is issued, and does work bounded by the
+// response it consumes. The zero value is pending.
+type Completion struct {
+	mu   sync.Mutex
+	done bool
+	hook func()
+	ch   chan struct{} // made by the first blocking waiter
+}
+
+var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+// Done returns a channel that is closed once the result is readable.
+func (c *Completion) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done {
+		return closedChan // also inside the hook, where c.ch is still open
+	}
+	if c.ch == nil {
+		c.ch = make(chan struct{})
+	}
+	return c.ch
+}
+
+// OnDone registers fn as the completion hook (at most one per result). It
+// never runs fn itself: on a result already readable it reports false, and
+// the caller runs fn where that is safe.
+func (c *Completion) OnDone(fn func()) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done {
+		return false
+	}
+	c.hook = fn
+	return true
+}
+
+// Complete publishes the result, which the owner wrote before the call.
+// Exactly once.
+func (c *Completion) Complete() {
+	c.mu.Lock()
+	c.done = true
+	hook, ch := c.hook, c.ch
+	c.hook = nil
+	c.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
+	if ch != nil {
+		close(ch)
+	}
 }
 
 // Future is the pending result of an asynchronous Call. It is safe for any
@@ -574,18 +677,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 type Future struct {
 	id      uint64
 	reqSize int
-	c       *Client // issuing client; nil for pre-failed futures
-	done    chan struct{}
+	c       *Client // issuing client; nil for a Failed future
+	sig     Completion
 	buf     *mem.Buf // pooled backing of payload; nil for empty/error results
 	lease   mem.Lease
 	payload []byte
 	err     error
 }
 
-func newFuture() *Future { return &Future{done: make(chan struct{})} }
-
-func failedFuture(err error) *Future {
-	f := newFuture()
+// Failed returns an already-resolved future: a call that never reached the wire.
+func Failed(err error) *Future {
+	f := &Future{}
 	f.complete(nil, err)
 	return f
 }
@@ -605,7 +707,7 @@ func (f *Future) complete(buf *mem.Buf, err error) {
 			f.err = ErrAbandoned
 		}
 	}
-	close(f.done)
+	f.sig.Complete()
 }
 
 // ErrAbandoned is what a late waiter of an abandoned future observes.
@@ -626,34 +728,40 @@ func (f *Future) Release() {
 
 // Done returns a channel that is closed when the response (or failure) is
 // available, for use in select loops alongside other events.
-func (f *Future) Done() <-chan struct{} { return f.done }
+func (f *Future) Done() <-chan struct{} { return f.sig.Done() }
+
+// OnDone registers the future's completion hook (see Completion), run by
+// whoever completes it: the read loop, Cancel, the connection's death.
+func (f *Future) OnDone(fn func()) bool { return f.sig.OnDone(fn) }
 
 // Wait blocks until the response arrives and returns it. Wait may be called
 // multiple times and from multiple goroutines; every call returns the same
 // result.
 func (f *Future) Wait() ([]byte, error) {
-	<-f.done
+	<-f.sig.Done()
 	return f.payload, f.err
 }
 
 // WaitCtx is Wait with a context: it returns ctx.Err() as soon as ctx is
-// done, even if the response has not arrived. Cancellation also releases the
-// call's slot in the pending table and resolves the future with ctx.Err()
-// for every other waiter (a late response is then dropped), so abandoned
-// calls do not accumulate client state. Cancellation is resolved here, on
-// the wait path, rather than by a per-call watcher goroutine — a client with
-// thousands of calls in flight holds zero goroutines for them.
+// done, and Cancels the call. Cancellation is resolved here, on the wait
+// path, rather than by a per-call watcher goroutine — a client with thousands
+// of calls in flight holds zero goroutines for them.
 func (f *Future) WaitCtx(ctx context.Context) ([]byte, error) {
 	select {
-	case <-f.done:
+	case <-f.sig.Done():
 		return f.payload, f.err
 	case <-ctx.Done():
-		if f.c != nil {
-			// Exactly-once with a racing response or connection death: fail
-			// only resolves the future if the slot is still pending.
-			f.c.fail(f.id, ctx.Err())
-		}
+		f.Cancel(ctx.Err())
 		return nil, ctx.Err()
+	}
+}
+
+// Cancel fails the call with err if it is still pending: its pending-table
+// slot is freed, every waiter and the hook observe err, and a late response
+// is dropped. A racing response or connection death resolves it only once.
+func (f *Future) Cancel(err error) {
+	if f.c != nil {
+		f.c.fail(f.id, err)
 	}
 }
 
@@ -904,24 +1012,19 @@ func (c *Client) Call(m Method, payload []byte) *Future {
 
 // CallCtx is Call with cancellation: a ctx that is already done fails the
 // call immediately, and a later WaitCtx observes cancellation by failing the
-// pending slot itself (see Future.WaitCtx). No watcher goroutine is spawned
-// per call — cancellation of an in-flight request is resolved entirely on
-// the wait path, so issuing N calls costs N pending-map entries and nothing
-// else. The request itself still reaches the server — like most RPC
-// systems, cancellation stops the waiting, not the remote work.
+// pending slot itself, so issuing N calls costs N pending-map entries and no
+// goroutine. The request still reaches the server — cancellation stops the
+// waiting, not the remote work. A sampled trace context on ctx rides the
+// request frame. Hook-driven consumers pass a context that never ends, take
+// the result through OnDone and bound the call with Cancel.
 func (c *Client) CallCtx(ctx context.Context, m Method, payload []byte) *Future {
 	if err := ctx.Err(); err != nil {
-		return failedFuture(err)
+		return Failed(err)
 	}
 	if c.closed.Load() || c.dead.Load() {
-		return failedFuture(ErrClientClosed)
+		return Failed(ErrClientClosed)
 	}
-	f := newFuture()
-	f.id = c.nextID.Add(1)
-	f.reqSize = len(payload)
-	f.c = c
-	// A sampled trace context on ctx rides the request frame so the remote
-	// server's spans join the caller's trace.
+	f := &Future{id: c.nextID.Add(1), reqSize: len(payload), c: c}
 	flags := byte(flagRequest)
 	sc := obs.FromContext(ctx)
 	if sc.Valid() {

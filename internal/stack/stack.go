@@ -154,10 +154,10 @@ func Build(cfg Config, spec Spec) *Machine {
 		// caller's cancellation (waiters bound their own waits); the trace
 		// context still rides along so attempt spans join the query's trace.
 		shared = func(ctx context.Context, dst int32, method rpc.Method, payload []byte) agg.Response {
-			return m.Router.CallTraced(obs.FromContext(ctx), dst, method, payload)
+			return m.Router.CallTraced(obs.FromContext(ctx), dst, method, payload, nil)
 		}
 		if cfg.Hedge {
-			m.Hedger = admit.NewHedger(m.Router, admit.HedgeOptions{Delay: cfg.HedgeDelay, Tracer: spec.Tracer})
+			m.Hedger = admit.NewHedger(m.Router, admit.HedgeOptions{Delay: cfg.HedgeDelay})
 			shared = func(ctx context.Context, dst int32, method rpc.Method, payload []byte) agg.Response {
 				return m.Hedger.CallTraced(obs.FromContext(ctx), dst, method, payload)
 			}
@@ -236,9 +236,10 @@ func (m *Machine) Clients() []*rpc.Client { return m.clients }
 
 // Close tears the machine down in the order buffer ownership needs: first
 // the transports, so every pending response resolves (with an error if need
-// be); then the aggregators, whose in-flight flushes hand their tickets the
-// result; then the caches' abandoned flights. After it, nothing the stack
-// drew from the frame pool is still checked out. Idempotent.
+// be) and its completion hooks run — flushes hand their tickets the result,
+// fetches fulfil their flights, whether or not anyone still waits; then the
+// aggregators, which wait those hooks out. After it, nothing the stack drew
+// from the frame pool is still checked out. Idempotent.
 func (m *Machine) Close() {
 	if m.Tracker != nil {
 		m.Tracker.Stop()
@@ -253,8 +254,6 @@ func (m *Machine) Close() {
 		m.Aggs[i].Close()
 		m.FeatAggs[i].Close()
 	}
-	m.Cache.Drain()
-	m.FeatCache.Drain()
 }
 
 // NewCoordinator wires a deployment's mutation coordinator over store with
