@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"math/rand"
 	"os"
 	"strconv"
 	"testing"
@@ -19,10 +20,13 @@ import (
 	"pprengine/internal/baseline"
 	"pprengine/internal/cluster"
 	"pprengine/internal/core"
+	"pprengine/internal/delta"
 	"pprengine/internal/experiments"
 	"pprengine/internal/gnn"
 	"pprengine/internal/graph"
+	"pprengine/internal/partition"
 	"pprengine/internal/rpc"
+	"pprengine/internal/shard"
 )
 
 func benchParams() experiments.Params {
@@ -494,4 +498,99 @@ func BenchmarkFetchRoundTrip(b *testing.B) {
 	if hits := c.Machines[0].Cache.Stats().Hits; hits != 0 {
 		b.Fatalf("%d cache hits: the loop must stay on the miss path", hits)
 	}
+}
+
+// mutatedStore is the twitter-sim stand-in at the front-door benchmark's
+// scale (32k vertices, 4 shards of ~450k neighbor entries) under one delta
+// store that bases all four shards, plus a source of write rounds: 20 batches
+// of 32 edge inserts on random sources, which is what the mixed workload
+// sends in one 2-second compaction interval (640 dirty rows).
+func mutatedStore(b *testing.B) (store *delta.Store, round func()) {
+	p := benchParams()
+	p.Scale = 4
+	spec, err := p.Spec("twitter-sim")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := spec.GenerateCached()
+	const k = 4
+	shards, loc, err := shard.Build(g, partition.HashPartition(g.NumNodes, k), k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bases := make(map[int32]*shard.Shard, k)
+	for _, s := range shards {
+		bases[s.ShardID] = s
+	}
+	store = delta.NewStore(loc, bases)
+	coord := delta.NewCoordinator(store, nil, nil)
+	rng := rand.New(rand.NewSource(15))
+	return store, func() {
+		for batch := 0; batch < 20; batch++ {
+			muts := make([]delta.Mutation, 32)
+			for i := range muts {
+				src := rng.Intn(g.NumNodes)
+				muts[i] = delta.Mutation{
+					Op:  delta.OpAddEdge,
+					Src: graph.NodeID(src), Dst: graph.NodeID((src + 1 + rng.Intn(g.NumNodes-1)) % g.NumNodes),
+					Weight: 0.5,
+				}
+			}
+			if _, err := coord.Apply(context.Background(), muts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkCompact measures one compaction pass over the four shards after
+// one interval's writes: ns/op and B/op are the whole pass, lock-us/op the
+// part of it spent holding the store's write lock (what a reader waits for).
+func BenchmarkCompact(b *testing.B) {
+	store, round := mutatedStore(b)
+	var held time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		round()
+		b.StartTimer()
+		cs := store.Compact()
+		if cs.EpochsRetired != 20 {
+			b.Fatalf("retired %d epochs, want 20", cs.EpochsRetired)
+		}
+		held += cs.Pause
+	}
+	b.ReportMetric(float64(held.Microseconds())/float64(b.N), "lock-us/op")
+}
+
+// BenchmarkVertexPropsPatched measures an epoch-pinned read of rows that
+// resolve to the base CSR while degree overrides are present: 256 rows of
+// shard 0 per op, after four write rounds and a compaction (so every mutated
+// vertex keeps an override entry and no row keeps a version).
+func BenchmarkVertexPropsPatched(b *testing.B) {
+	store, round := mutatedStore(b)
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	store.Compact()
+	e := store.PinCurrent()
+	defer store.Unpin(e)
+	rng := rand.New(rand.NewSource(16))
+	rows := make([]int32, 256)
+	for i := range rows {
+		rows[i] = int32(rng.Intn(store.Base(0).NumCore()))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vps, err := store.VertexProps(0, rows, e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(vps) != len(rows) {
+			b.Fatalf("%d rows, want %d", len(vps), len(rows))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rows)), "ns/row")
 }

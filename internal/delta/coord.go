@@ -3,6 +3,7 @@ package delta
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"pprengine/internal/graph"
@@ -76,12 +77,23 @@ func NewCoordinator(store *Store, appliers []Applier, fetch RowFetcher) *Coordin
 	}
 }
 
-// pendRow is a row's tentative state during intra-batch resolution.
+// pendRow is a row's tentative state during intra-batch resolution. Until
+// the row is seeded (haveEntries) the columns hold only the edges this batch
+// has inserted; seeding puts the stored row in front of them.
 type pendRow struct {
 	haveEntries bool
 	locals      []int32
 	shards      []int32
 	weights     []float32
+}
+
+// seed loads the stored row. The stored columns are copied: a fetched row may
+// alias its response buffer.
+func (pr *pendRow) seed(locals, shards []int32, weights []float32) {
+	pr.locals = slices.Concat(locals, pr.locals)
+	pr.shards = slices.Concat(shards, pr.shards)
+	pr.weights = slices.Concat(weights, pr.weights)
+	pr.haveEntries = true
 }
 
 // Apply resolves muts into one batch at epoch store.Epoch()+1, applies it to
@@ -164,7 +176,7 @@ func (c *Coordinator) resolveLocked(ctx context.Context, muts []Mutation) (*wire
 			return pr, nil
 		}
 		if locals, shards, weights, wdeg, ok := c.store.CurrentRow(key); ok {
-			pr.locals, pr.shards, pr.weights = locals, shards, weights
+			pr.seed(locals, shards, weights)
 			if _, have := pendWDeg[key]; !have {
 				pendWDeg[key] = wdeg
 			}
@@ -173,14 +185,13 @@ func (c *Coordinator) resolveLocked(ctx context.Context, muts []Mutation) (*wire
 			if err != nil {
 				return nil, fmt.Errorf("fetch row (%d,%d): %w", key.Shard, key.Local, err)
 			}
-			pr.locals, pr.shards, pr.weights = rr.Locals, rr.Shards, rr.Weights
+			pr.seed(rr.Locals, rr.Shards, rr.Weights)
 			if _, have := pendWDeg[key]; !have {
 				pendWDeg[key] = rr.WDeg
 			}
 		} else {
 			return nil, fmt.Errorf("row (%d,%d) not resolvable locally and no fetcher", key.Shard, key.Local)
 		}
-		pr.haveEntries = true
 		return pr, nil
 	}
 
@@ -246,11 +257,16 @@ func (c *Coordinator) resolveLocked(ctx context.Context, muts []Mutation) (*wire
 				Weight: m.Weight, SrcWDeg: srcW, DstWDeg: dstW,
 			})
 			pendWDeg[src] = srcW + m.Weight
-			if pr := pendRows[src]; pr != nil && pr.haveEntries {
-				pr.locals = append(pr.locals, dst.Local)
-				pr.shards = append(pr.shards, dst.Shard)
-				pr.weights = append(pr.weights, m.Weight)
+			// Recorded whether or not the row is seeded yet, so a later
+			// delete of this edge in the same batch finds it.
+			pr := pendRows[src]
+			if pr == nil {
+				pr = &pendRow{}
+				pendRows[src] = pr
 			}
+			pr.locals = append(pr.locals, dst.Local)
+			pr.shards = append(pr.shards, dst.Shard)
+			pr.weights = append(pr.weights, m.Weight)
 
 		case OpDelEdge:
 			src, ok := resolveAddr(m.Src)

@@ -17,8 +17,8 @@
 //     owner, replica host, or bystander — lands in the identical state and a
 //     failover stays score-identical.
 //   - A compactor (compact.go) periodically rebuilds the based shards' CSRs
-//     as of the oldest pinned epoch, folds the chains below that boundary,
-//     and retires the epochs underneath.
+//     as of the oldest pinned epoch beside the live ones, swaps them in, folds
+//     the chains below that boundary, and retires the epochs underneath.
 //
 // Epoch 0 is the pre-mutation base graph: a zero pinned epoch bypasses the
 // store entirely and reads are byte-for-byte the legacy static path.
@@ -55,6 +55,25 @@ type rowV struct {
 	wdegs   []float32
 }
 
+// view returns the version as a row view of vertex local.
+func (v *rowV) view(local int32) shard.VertexProp {
+	return shard.VertexProp{
+		Local: local, WDeg: v.wdeg,
+		Locals: v.locals, Shards: v.shards,
+		Weights: v.weights, WDegs: v.wdegs,
+	}
+}
+
+// versionAt returns the newest version of chain at or below epoch e, or nil.
+func versionAt(chain []rowV, e uint64) *rowV {
+	for i := len(chain) - 1; i >= 0; i-- {
+		if chain[i].epoch <= e {
+			return &chain[i]
+		}
+	}
+	return nil
+}
+
 // wdegV is one weighted-degree override: vertex's out-degree as of epoch.
 type wdegV struct {
 	epoch uint64
@@ -71,6 +90,9 @@ type Store struct {
 	rows  map[Key][]rowV         // version chains, ascending epoch
 	wdeg  map[Key][]wdegV        // degree-override chains, ascending epoch
 	newV  map[Key]graph.NodeID   // appended vertices not yet baked into a base
+	// overridden holds the keys of wdeg (chains are folded, never dropped): a
+	// row read tests a bit per neighbor and probes the map only on a hit.
+	overridden localSet
 
 	epoch   uint64           // newest applied epoch
 	retired uint64           // epochs <= retired are folded and unpinnable
@@ -85,6 +107,9 @@ type Store struct {
 	compactions uint64
 	opsApplied  uint64
 	lastPause   time.Duration
+	lastBuild   time.Duration
+	compacting  *compaction // the pass in flight, if any (compact.go)
+	afterBuild  func()      // test seam: runs between a pass's build and its publish
 }
 
 // NewStore builds a Store over the shards this machine serves. The locator is
@@ -96,15 +121,16 @@ func NewStore(loc *shard.Locator, bases map[int32]*shard.Shard) *Store {
 		bs[sh] = b
 	}
 	return &Store{
-		loc:    loc,
-		bases:  bs,
-		rows:   make(map[Key][]rowV),
-		wdeg:   make(map[Key][]wdegV),
-		newV:   make(map[Key]graph.NodeID),
-		log:    make(map[uint64][]Key),
-		pins:   make(map[uint64]int),
-		kick:   make(chan struct{}, 1),
-		waitCh: make(chan struct{}),
+		loc:        loc,
+		bases:      bs,
+		rows:       make(map[Key][]rowV),
+		wdeg:       make(map[Key][]wdegV),
+		newV:       make(map[Key]graph.NodeID),
+		overridden: newLocalSet(loc.NumShards()),
+		log:        make(map[uint64][]Key),
+		pins:       make(map[uint64]int),
+		kick:       make(chan struct{}, 1),
+		waitCh:     make(chan struct{}),
 	}
 }
 
@@ -353,6 +379,7 @@ func (s *Store) setWDegLocked(k Key, e uint64, v float32) {
 		return
 	}
 	s.wdeg[k] = append(chain, wdegV{epoch: e, val: v})
+	s.overridden.add(k.Shard, k.Local)
 }
 
 // wdegAtLocked returns the newest degree override for k at or below e.
@@ -372,16 +399,8 @@ func (s *Store) wdegAtLocked(k Key, e uint64) (float32, bool) {
 // chains (copy-on-write — shared arrays are never scribbled on). ok=false
 // means this store has no local source for the row.
 func (s *Store) rowAtLocked(k Key, e uint64) (shard.VertexProp, bool) {
-	for chain, i := s.rows[k], 0; i < len(chain); i++ {
-		v := &chain[len(chain)-1-i]
-		if v.epoch <= e {
-			vp := shard.VertexProp{
-				Local: k.Local, WDeg: v.wdeg,
-				Locals: v.locals, Shards: v.shards,
-				Weights: v.weights, WDegs: v.wdegs,
-			}
-			return s.patchVPLocked(vp, k, e), true
-		}
+	if v := versionAt(s.rows[k], e); v != nil {
+		return s.patchVPLocked(v.view(k.Local), k, e), true
 	}
 	if base := s.bases[k.Shard]; base != nil {
 		// The base's own core count bounds what it answers, not the locator's
@@ -408,12 +427,17 @@ func (s *Store) patchVPLocked(vp shard.VertexProp, k Key, e uint64) shard.Vertex
 	if len(s.wdeg) == 0 {
 		return vp
 	}
-	if w, ok := s.wdegAtLocked(k, e); ok {
-		vp.WDeg = w
+	if s.overridden.has(k.Shard, k.Local) {
+		if w, ok := s.wdegAtLocked(k, e); ok {
+			vp.WDeg = w
+		}
 	}
 	copied := false
-	for i := range vp.WDegs {
-		w, ok := s.wdegAtLocked(Key{vp.Shards[i], vp.Locals[i]}, e)
+	for i, sh := range vp.Shards {
+		if !s.overridden.has(sh, vp.Locals[i]) {
+			continue
+		}
+		w, ok := s.wdegAtLocked(Key{sh, vp.Locals[i]}, e)
 		if !ok || w == vp.WDegs[i] {
 			continue
 		}
@@ -480,15 +504,8 @@ func (s *Store) PatchHalo(vp shard.VertexProp, sh, local int32, e uint64) shard.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	k := Key{sh, local}
-	for chain, i := s.rows[k], 0; i < len(chain); i++ {
-		v := &chain[len(chain)-1-i]
-		if v.epoch <= e {
-			return s.patchVPLocked(shard.VertexProp{
-				Local: local, WDeg: v.wdeg,
-				Locals: v.locals, Shards: v.shards,
-				Weights: v.weights, WDegs: v.wdegs,
-			}, k, e)
-		}
+	if v := versionAt(s.rows[k], e); v != nil {
+		vp = v.view(local)
 	}
 	return s.patchVPLocked(vp, k, e)
 }
@@ -582,6 +599,7 @@ type Snapshot struct {
 	OpsApplied    uint64         `json:"ops_applied"`
 	Compactions   uint64         `json:"compactions"`
 	LastPauseNs   int64          `json:"last_compact_pause_ns"`
+	LastBuildNs   int64          `json:"last_compact_build_ns"`
 }
 
 // Stats returns a snapshot of the store's state.
@@ -603,5 +621,6 @@ func (s *Store) Stats() Snapshot {
 		OpsApplied:    s.opsApplied,
 		Compactions:   s.compactions,
 		LastPauseNs:   int64(s.lastPause),
+		LastBuildNs:   int64(s.lastBuild),
 	}
 }

@@ -103,17 +103,29 @@ func TestDeltaMatchesRebuild(t *testing.T) {
 	if want := loc.CoreCount(newSh) - 1; newLocal != want {
 		t.Fatalf("appended local = %d, want %d", newLocal, want)
 	}
-	g2, err := graph.FromEdges(13, applyEdits(edges, muts))
-	if err != nil {
-		t.Fatal(err)
-	}
 	a2 := append(append(partition.Assignment{}, a...), newSh)
-	fresh, loc2, err := shard.Build(g2, a2, k)
+	loc2 := matchesRebuild(t, store, 13, applyEdits(edges, muts), a2, k, epoch)
+	// Locator agreement on the appended vertex.
+	if s2, l2 := loc2.Locate(12); s2 != newSh || l2 != newLocal {
+		t.Fatalf("rebuilt locator placed 12 at (%d,%d), delta at (%d,%d)", s2, l2, newSh, newLocal)
+	}
+}
+
+// matchesRebuild checks every row store serves at epoch against a
+// from-scratch Build of the n-vertex graph with the given edges and
+// assignment, and returns the rebuild's locator.
+func matchesRebuild(t *testing.T, store *Store, n int, edges []graph.Edge, a partition.Assignment, k int, epoch uint64) *shard.Locator {
+	t.Helper()
+	g2, err := graph.FromEdges(n, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for sh := int32(0); sh < k; sh++ {
+	fresh, loc2, err := shard.Build(g2, a, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc := store.Locator()
+	for sh := int32(0); int(sh) < k; sh++ {
 		n := int(loc.CoreCount(sh))
 		if n != fresh[sh].NumCore() {
 			t.Fatalf("shard %d: core count %d, want %d", sh, n, fresh[sh].NumCore())
@@ -133,10 +145,62 @@ func TestDeltaMatchesRebuild(t *testing.T) {
 			}
 		}
 	}
-	// Locator agreement on the appended vertex.
-	if s2, l2 := loc2.Locate(12); s2 != newSh || l2 != newLocal {
-		t.Fatalf("rebuilt locator placed 12 at (%d,%d), delta at (%d,%d)", s2, l2, newSh, newLocal)
+	return loc2
+}
+
+// TestInsertThenDeleteInOneBatch: a batch may delete an edge it inserted
+// earlier, whether the coordinator reads the source's row from its own store
+// or through its RowFetcher. (The insert used to be dropped from the
+// tentative row when the row had not been loaded yet, and the delete then
+// failed as "not present".)
+func TestInsertThenDeleteInOneBatch(t *testing.T) {
+	const k = 2
+	ctx := context.Background()
+	muts := []Mutation{
+		{Op: OpAddEdge, Src: 1, Dst: 8, Weight: 2},
+		{Op: OpAddEdge, Src: 1, Dst: 4, Weight: 0.5},
+		{Op: OpDelEdge, Src: 1, Dst: 8},
+		{Op: OpAddEdge, Src: 6, Dst: 1, Weight: 0.25},
 	}
+
+	t.Run("source based locally", func(t *testing.T) {
+		edges, _, shards, loc, a := testGraph(t, k)
+		store := NewStore(loc, allBases(shards))
+		epoch, err := NewCoordinator(store, nil, nil).Apply(ctx, muts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchesRebuild(t, store, 12, applyEdits(edges, muts), a, k, epoch)
+	})
+
+	t.Run("source fetched", func(t *testing.T) {
+		// The coordinator bases shard 0 only and keeps no halo rows, so it
+		// reads vertex 1 (shard 1) from the machine that owns it.
+		edges, g, _, _, a := testGraph(t, k)
+		shards, loc, err := shard.Build(g, a, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := NewStore(loc, allBases(shards))
+		fetched := 0
+		fetch := func(_ context.Context, sh, local int32, epoch uint64) (RemoteRow, error) {
+			fetched++
+			vps, err := owner.VertexProps(sh, []int32{local}, epoch)
+			if err != nil {
+				return RemoteRow{}, err
+			}
+			return RemoteRow{Locals: vps[0].Locals, Shards: vps[0].Shards, Weights: vps[0].Weights, WDeg: vps[0].WDeg}, nil
+		}
+		coord := NewCoordinator(NewStore(loc, map[int32]*shard.Shard{0: shards[0]}), []Applier{mirrorTo(owner)}, fetch)
+		epoch, err := coord.Apply(ctx, muts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fetched == 0 {
+			t.Fatal("the source's row was not read through the fetcher")
+		}
+		matchesRebuild(t, owner, 12, applyEdits(edges, muts), a, k, epoch)
+	})
 }
 
 func sameVP(got, want shard.VertexProp) error {

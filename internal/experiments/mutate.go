@@ -29,6 +29,9 @@ type MutateRow struct {
 	// CompactPauseMs is the longest write-lock pause any machine's compactor
 	// held while folding the round's deltas (the "compaction pause" cost).
 	CompactPauseMs float64 `json:"compact_pause_ms"`
+	// CompactBuildMs is the longest any machine's compactor spent rebuilding
+	// shard arrays beside the live ones, holding no lock.
+	CompactBuildMs float64 `json:"compact_build_ms"`
 	RowsBaked      int     `json:"rows_baked"`
 }
 
@@ -38,7 +41,8 @@ type MutateRow struct {
 // epoch two ways — incrementally (cached residual state, re-push from the
 // mutated frontier) and from scratch. The headline number is the incremental
 // speedup; the acceptance bar is >= 2x on a localized burst. Each round also
-// compacts every machine's store and reports the longest write-lock pause.
+// compacts every machine's store and reports the longest write-lock pause
+// and the longest off-lock rebuild.
 //
 // Correctness is asserted inline: an incremental answer served from
 // unchanged cache ("hit") must be bitwise identical to the fresh full run at
@@ -49,8 +53,8 @@ func MutateBench(p Params) (Report, []MutateRow, error) {
 	const burstEdges = 24
 	r := Report{Title: fmt.Sprintf("Streaming mutations on twitter-sim (%d machines, %d queries, localized %d-edge bursts)",
 		machines, machines*queriesPerMachine, burstEdges)}
-	r.Lines = append(r.Lines, fmt.Sprintf("%-12s %8s %5s %7s %6s %9s %8s %9s %11s %9s",
-		"Pass", "Queries", "Hits", "Repush", "Full", "Total ms", "ms/q", "Speedup", "Compact ms", "Baked"))
+	r.Lines = append(r.Lines, fmt.Sprintf("%-12s %8s %5s %7s %6s %9s %8s %9s %11s %9s %9s",
+		"Pass", "Queries", "Hits", "Repush", "Full", "Total ms", "ms/q", "Speedup", "Compact ms", "Build ms", "Baked"))
 
 	spec, err := p.Spec("twitter-sim")
 	if err != nil {
@@ -173,16 +177,17 @@ func MutateBench(p Params) (Report, []MutateRow, error) {
 	}
 
 	emit := func(row MutateRow) {
-		speedup, compact := "-", "-"
+		speedup, compact, build := "-", "-", "-"
 		if row.Speedup > 0 {
 			speedup = fmt.Sprintf("%.2fx", row.Speedup)
 		}
 		if row.CompactPauseMs > 0 {
 			compact = fmt.Sprintf("%.3f", row.CompactPauseMs)
+			build = fmt.Sprintf("%.3f", row.CompactBuildMs)
 		}
-		r.Lines = append(r.Lines, fmt.Sprintf("%-12s %8d %5d %7d %6d %9.1f %8.2f %9s %11s %9d",
+		r.Lines = append(r.Lines, fmt.Sprintf("%-12s %8d %5d %7d %6d %9.1f %8.2f %9s %11s %9s %9d",
 			row.Pass, row.Queries, row.Hits, row.Repushes, row.Fulls,
-			row.TotalMs, row.PerQryMs, speedup, compact, row.RowsBaked))
+			row.TotalMs, row.PerQryMs, speedup, compact, build, row.RowsBaked))
 	}
 
 	var rows []MutateRow
@@ -232,13 +237,11 @@ func MutateBench(p Params) (Report, []MutateRow, error) {
 				}
 			}
 		}
-		var pause time.Duration
+		var pause, build time.Duration
 		baked := 0
 		for _, st := range c.Deltas {
 			cs := st.Compact()
-			if cs.Pause > pause {
-				pause = cs.Pause
-			}
+			pause, build = max(pause, cs.Pause), max(build, cs.Build)
 			baked += cs.RowsBaked
 		}
 		row.Pass = fmt.Sprintf("round-%d", round+1)
@@ -249,6 +252,7 @@ func MutateBench(p Params) (Report, []MutateRow, error) {
 		row.PerQryMs = row.TotalMs / float64(nq)
 		row.Speedup = float64(fullWall) / float64(incWall)
 		row.CompactPauseMs = float64(pause.Nanoseconds()) / 1e6
+		row.CompactBuildMs = float64(build.Nanoseconds()) / 1e6
 		row.RowsBaked = baked
 		rows = append(rows, *row)
 		emit(*row)

@@ -32,10 +32,7 @@ func haloKey(sh, local int32) uint64 {
 // shard stores it. It never returns rows for the shard's own core nodes —
 // use VertexProp for those.
 func (s *Shard) HaloRow(sh, local int32) (VertexProp, bool) {
-	if s.haloIndex == nil || sh == s.ShardID {
-		return VertexProp{}, false
-	}
-	ri, ok := s.haloIndex[haloKey(sh, local)]
+	ri, ok := s.HaloRowIndex(sh, local)
 	if !ok {
 		return VertexProp{}, false
 	}
@@ -48,6 +45,24 @@ func (s *Shard) HaloRow(sh, local int32) (VertexProp, bool) {
 		Weights: s.HaloNbrWeight[lo:hi],
 		WDegs:   s.HaloNbrWDeg[lo:hi],
 	}, true
+}
+
+// HaloRowIndex returns the position of halo node (sh, local) in HaloKeys —
+// the row of its cached tuples in the halo arrays — if this shard stores it.
+func (s *Shard) HaloRowIndex(sh, local int32) (int32, bool) {
+	if s.haloIndex == nil || sh == s.ShardID {
+		return 0, false
+	}
+	ri, ok := s.haloIndex[haloKey(sh, local)]
+	return ri, ok
+}
+
+// ShareHaloKeys makes s cache the same halo nodes as from, in the same order,
+// through from's key list and lookup index (both immutable once built). The
+// delta compactor rewrites halo rows but never the set of cached nodes, so a
+// rebuilt base shares them with the base it replaces.
+func (s *Shard) ShareHaloKeys(from *Shard) {
+	s.HaloKeys, s.haloIndex = from.HaloKeys, from.haloIndex
 }
 
 // HasHaloRows reports whether this shard caches halo rows.
@@ -106,8 +121,7 @@ func (s *Shard) buildHaloRows(g *graph.Graph, loc *Locator) {
 }
 
 // RebuildHaloIndex reconstructs the halo lookup map from HaloKeys. Callers
-// that assemble a Shard from arrays directly (deserialization, the delta
-// compactor's fresh-base rebuild) use it to make HaloRow work.
+// that assemble a Shard from arrays directly use it to make HaloRow work.
 func (s *Shard) RebuildHaloIndex() error { return s.rebuildHaloIndex() }
 
 // rebuildHaloIndex reconstructs the lookup map after deserialization.
