@@ -121,12 +121,13 @@ func (b *FeatureBlock) NumRows() int {
 func (b *FeatureBlock) Rows(off, n int) []float32 { return b.Data[off*b.Dim : (off+n)*b.Dim] }
 
 // Tier is everything that differs between the row types the engine fetches:
-// the span its flushes record, how a request for IDs at an epoch is encoded,
-// how the response is decoded (once — aliased reports that the batch still
-// points into payload), and the /metrics series it feeds.
+// the span its flushes record, how a request for IDs at an epoch is encoded
+// (Header starts the payload for n IDs, which are appended to it), how the
+// response is decoded (once — aliased reports that the batch still points
+// into payload), and the /metrics series it feeds.
 type Tier struct {
 	Span   string
-	Encode func(epoch uint64, ids []int32) (rpc.Method, []byte)
+	Header func(epoch uint64, n int) (rpc.Method, []byte)
 	Decode func(payload []byte, zeroCopy bool) (b Batch, aliased bool, err error)
 	// Empty answers a fetch of no rows without touching the wire.
 	Empty Batch
@@ -139,11 +140,11 @@ type Tier struct {
 // epoch-stamped ID list to the epoch-pinned method.
 var Neighbors = &Tier{
 	Span: "agg:flush",
-	Encode: func(epoch uint64, ids []int32) (rpc.Method, []byte) {
+	Header: func(epoch uint64, n int) (rpc.Method, []byte) {
 		if epoch != 0 {
-			return rpc.MethodGetNeighborInfosAt, wire.EncodeIDListAt(epoch, ids)
+			return rpc.MethodGetNeighborInfosAt, wire.IDListAtHeader(epoch, n)
 		}
-		return rpc.MethodGetNeighborInfos, wire.EncodeIDList(ids)
+		return rpc.MethodGetNeighborInfos, wire.IDListHeader(n)
 	},
 	Decode: func(payload []byte, zeroCopy bool) (Batch, bool, error) {
 		if !zeroCopy {
@@ -163,8 +164,8 @@ var Neighbors = &Tier{
 // is not epoch-versioned, so the epoch does not reach the wire.
 var Features = &Tier{
 	Span: "featagg:flush",
-	Encode: func(_ uint64, ids []int32) (rpc.Method, []byte) {
-		return rpc.MethodFetchFeatures, wire.EncodeIDList(ids)
+	Header: func(_ uint64, n int) (rpc.Method, []byte) {
+		return rpc.MethodFetchFeatures, wire.IDListHeader(n)
 	},
 	Decode: func(payload []byte, zeroCopy bool) (Batch, bool, error) {
 		b := &FeatureBlock{}
@@ -178,6 +179,12 @@ var Features = &Tier{
 	},
 	Empty:   &FeatureBlock{},
 	flushes: &metrics.FeatAggFlushes, rows: &metrics.FeatAggRows, shared: &metrics.FeatAggShared,
+}
+
+// Encode returns the request for ids at epoch.
+func (t *Tier) Encode(epoch uint64, ids []int32) (rpc.Method, []byte) {
+	method, payload := t.Header(epoch, len(ids))
+	return method, wire.AppendI32s(payload, ids)
 }
 
 // Response is the pending result of one wire request. *rpc.Future satisfies
@@ -437,11 +444,10 @@ func (fl *flush) send() {
 		return
 	}
 	a, batch := fl.a, fl.batch
-	ids := make([]int32, 0, fl.rows)
+	method, payload := a.tier.Header(fl.epoch, fl.rows)
 	for _, t := range batch {
-		ids = append(ids, t.locals...)
+		payload = wire.AppendI32s(payload, t.locals)
 	}
-	method, payload := a.tier.Encode(fl.epoch, ids)
 	batch[0].wireReqs = 1
 	batch[0].wireBytes = int64(len(payload))
 	a.flushes.Add(1)

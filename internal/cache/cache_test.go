@@ -17,7 +17,9 @@ type suite[R any] struct {
 	// mk builds a row of n units whose content encodes tag.
 	mk func(n int, tag float32) R
 	// is reports whether row is mk(n, tag).
-	is       func(row R, n int, tag float32) bool
+	is func(row R, n int, tag float32) bool
+	// one is mk in a single allocation, as the fetch chain builds rows.
+	one      func(n int, tag float32) R
 	overhead int64
 }
 
@@ -34,24 +36,31 @@ var rowSuite = suite[Row]{
 		}
 		return r
 	},
-	is:       func(r Row, deg int, tag float32) bool { return len(r.Locals) == deg && r.WDeg == tag },
+	is: func(r Row, deg int, tag float32) bool { return len(r.Locals) == deg && r.WDeg == tag },
+	one: func(deg int, tag float32) Row {
+		ints := make([]int32, 2*deg)
+		return Row{Locals: ints[:deg:deg], Shards: ints[deg:], WDeg: tag}
+	},
 	overhead: rowOverhead,
 }
 
 var featSuite = suite[[]float32]{
 	name: "features",
 	new:  NewFeatures,
-	mk: func(dim int, tag float32) []float32 {
-		row := make([]float32, dim)
-		for i := range row {
-			row[i] = tag
-		}
-		return row
-	},
+	mk:   featRow,
+	one:  featRow,
 	is: func(r []float32, dim int, tag float32) bool {
 		return len(r) == dim && (dim == 0 || r[0] == tag)
 	},
 	overhead: featRowOverhead,
+}
+
+func featRow(dim int, tag float32) []float32 {
+	row := make([]float32, dim)
+	for i := range row {
+		row[i] = tag
+	}
+	return row
 }
 
 // both runs f over the two instantiations.
@@ -61,13 +70,19 @@ func both(t *testing.T, rows func(*testing.T, suite[Row]), feats func(*testing.T
 }
 
 // lead reserves key, requires leadership, and returns the flight.
-func lead[R any](t *testing.T, c *LRU[R], sh, local int32, epoch uint64, mass float64) *Flight[R] {
+func lead[R any](t *testing.T, c *LRU[R], sh, local int32, epoch uint64, mass float64) Flight[R] {
 	t.Helper()
 	_, hit, fl, leader := c.GetOrReserveAt(sh, local, epoch, mass)
 	if hit || !leader {
 		t.Fatalf("reserve (%d,%d)@%d: hit=%v leader=%v, want fresh leader", sh, local, epoch, hit, leader)
 	}
 	return fl
+}
+
+// sameFlight reports whether two handles name the same flight: the same
+// pending slot at the same generation.
+func sameFlight[R any](a, b Flight[R]) bool {
+	return a.c == b.c && a.si == b.si && a.slot == b.slot && a.gen == b.gen
 }
 
 // sameStripeLocals returns n shard-0 local IDs that all hash to one stripe,
@@ -121,7 +136,7 @@ func TestLRUEviction(t *testing.T) { both(t, testEviction[Row], testEviction[[]f
 func testEviction[R any](t *testing.T, s suite[R]) {
 	// Per-stripe budget of 2 minimal rows.
 	c := s.new(numShards*2*s.overhead, 0)
-	ls := sameStripeLocals(c, 3)
+	ls := sameStripeLocals(c, 4)
 	lead(t, c, 0, ls[0], 0, 0).Fulfill(s.mk(0, 0), nil)
 	lead(t, c, 0, ls[1], 0, 0).Fulfill(s.mk(0, 0), nil)
 	// Touch ls[0] so ls[1] is the LRU victim.
@@ -129,30 +144,68 @@ func testEviction[R any](t *testing.T, s suite[R]) {
 		t.Fatal("ls[0] missing before eviction")
 	}
 	lead(t, c, 0, ls[2], 0, 0).Fulfill(s.mk(0, 0), nil)
-	if _, ok := c.Get(0, ls[1]); ok {
+	if resident(c, 0, ls[1]) {
 		t.Fatal("LRU entry survived eviction")
 	}
-	if _, ok := c.Get(0, ls[0]); !ok {
+	if !resident(c, 0, ls[0]) {
 		t.Fatal("recently used entry was evicted")
 	}
-	if _, ok := c.Get(0, ls[2]); !ok {
+	if !resident(c, 0, ls[2]) {
 		t.Fatal("new entry not resident")
 	}
 	if st := c.Stats(); st.Evictions != 1 || st.Bytes > numShards*2*s.overhead {
 		t.Fatalf("stats = %+v, want 1 eviction within budget", st)
 	}
+	// A hit through the fetch path's reserve counts as a use the same way:
+	// ls[0] is used after ls[2] was inserted, then ls[2] is hit through
+	// GetOrReserve, so ls[0] is the stalest and the victim.
+	if _, ok := c.Get(0, ls[0]); !ok {
+		t.Fatal("ls[0] missing before the second eviction")
+	}
+	if _, hit, _, _ := c.GetOrReserve(0, ls[2]); !hit {
+		t.Fatal("ls[2] missing before the second eviction")
+	}
+	lead(t, c, 0, ls[3], 0, 0).Fulfill(s.mk(0, 0), nil)
+	if resident(c, 0, ls[0]) {
+		t.Fatal("the stalest row survived the second eviction")
+	}
+	if !resident(c, 0, ls[2]) {
+		t.Fatal("a row hit through GetOrReserve was evicted")
+	}
+}
+
+// resident reports whether (sh, local) is cached at the base epoch, without
+// counting a use as a Get would.
+func resident[R any](c *LRU[R], sh, local int32) bool {
+	key := ckey{addr: pack(sh, local)}
+	s := c.stripeFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, sl := s.find(key)
+	return sl >= 0 && s.slots[sl].state == slotResident
 }
 
 // Rows larger than a whole stripe's budget are declined, not evicted for.
 func TestOversizeRowNotAdmitted(t *testing.T) { both(t, testOversize[Row], testOversize[[]float32]) }
 func testOversize[R any](t *testing.T, s suite[R]) {
 	c := s.new(1, 0) // stripe budget clamps to one minimal row
-	lead(t, c, 0, 1, 0, 1).Fulfill(s.mk(1024, 1), nil)
+	fl := lead(t, c, 0, 1, 0, 1)
+	_, _, waiter, _ := c.GetOrReserve(0, 1)
+	fl.Fulfill(s.mk(1024, 1), nil)
 	if _, ok := c.Get(0, 1); ok {
 		t.Fatal("over-budget row must not be admitted")
 	}
-	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("stats = %+v, want empty cache", st)
+	// The decline is counted, and the row still reaches the flight's waiters.
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Rejected != 1 {
+		t.Fatalf("stats = %+v, want an empty cache and 1 rejected row", st)
+	}
+	if row, err := waiter.Wait(context.Background()); err != nil || !s.is(row, 1024, 1) {
+		t.Fatalf("waiter of a declined row: %+v, %v", row, err)
+	}
+	// A row that fits is admitted past the decline: the slot was freed.
+	lead(t, c, 0, 1, 0, 1).Fulfill(s.mk(0, 2), nil)
+	if row, ok := c.Get(0, 1); !ok || !s.is(row, 0, 2) {
+		t.Fatalf("minimal row after a decline: ok=%v row=%+v", ok, row)
 	}
 }
 
@@ -161,8 +214,8 @@ func testCoalesce[R any](t *testing.T, s suite[R]) {
 	c := s.new(1<<20, 0)
 	leaderFl := lead(t, c, 2, 9, 0, 0)
 	_, hit, waiterFl, leader2 := c.GetOrReserve(2, 9)
-	if hit || leader2 || waiterFl != leaderFl {
-		t.Fatalf("second reserve: hit=%v leader=%v sameFlight=%v, want coalesced wait", hit, leader2, waiterFl == leaderFl)
+	if hit || leader2 || !sameFlight(waiterFl, leaderFl) {
+		t.Fatalf("second reserve: hit=%v leader=%v sameFlight=%v, want coalesced wait", hit, leader2, sameFlight(waiterFl, leaderFl))
 	}
 	got := make(chan R, 1)
 	go func() {
@@ -193,10 +246,18 @@ func testFailed[R any](t *testing.T, s suite[R]) {
 	c := s.new(1<<20, 0)
 	boom := errors.New("boom")
 	fl := lead(t, c, 0, 4, 0, 1)
+	_, _, waiter, _ := c.GetOrReserve(0, 4)
 	var zero R
 	fl.Fulfill(zero, boom)
-	if _, err := fl.Wait(context.Background()); !errors.Is(err, boom) {
+	if _, err := waiter.Wait(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("waiter error = %v, want %v", err, boom)
+	}
+	// The leader fulfilled the flight itself; its handle no longer names it.
+	if _, err := fl.Wait(context.Background()); !errors.Is(err, errGone) {
+		t.Fatalf("leader's Wait after a failed fulfil = %v, want errGone", err)
+	}
+	if st := c.Stats(); st.Rejected != 0 {
+		t.Fatalf("a failed fetch counted as rejected: %+v", st)
 	}
 	if _, ok := c.Get(0, 4); ok {
 		t.Fatal("failed fetch must not populate the cache")
@@ -236,7 +297,7 @@ func testNoLeader[R any](t *testing.T, s suite[R]) {
 	got := make(chan R, waiters)
 	for i := 0; i < waiters; i++ {
 		_, _, waiterFl, leader := c.GetOrReserve(1, 1)
-		if leader || waiterFl != fl {
+		if leader || !sameFlight(waiterFl, fl) {
 			t.Fatal("a second reserver must coalesce onto the leader's flight")
 		}
 		go func() {
@@ -308,17 +369,39 @@ func testOneLeader[R any](t *testing.T, s suite[R]) {
 	}
 }
 
+// A key is inserted only by resolving its one pending slot: a second
+// Fulfill — through a copy of the handle, a batch that names the same flight,
+// or a stale handle whose slot was freed and reused — changes nothing.
 func TestDuplicateInsertIsNoop(t *testing.T) { both(t, testDuplicate[Row], testDuplicate[[]float32]) }
 func testDuplicate[R any](t *testing.T, s suite[R]) {
 	c := s.new(1<<20, 0)
-	lead(t, c, 0, 0, 0, 0).Fulfill(s.mk(1, 1), nil)
-	key := ckey{addr: pack(0, 0)}
-	st := c.stripeFor(key)
-	st.mu.Lock()
-	c.insertLocked(st, key, s.mk(1, 1))
-	st.mu.Unlock()
+	fl := lead(t, c, 0, 0, 0, 0)
+	fl.Fulfill(s.mk(1, 1), nil)
+	again := fl
+	again.Fulfill(s.mk(9, 9), nil)
+	c.FulfillAll([]Lookup[R]{{Row: s.mk(9, 9), Flight: fl, State: Lead}}, nil)
 	if st := c.Stats(); st.Entries != 1 || st.Bytes != c.size(s.mk(1, 1)) {
 		t.Fatalf("stats after duplicate insert = %+v", st)
+	}
+	if row, ok := c.Get(0, 0); !ok || !s.is(row, 1, 1) {
+		t.Fatalf("resident row changed by a duplicate fulfil: %+v", row)
+	}
+	// Free the slot through a failed flight and reuse it: the old handle's
+	// generation no longer matches, so it cannot resolve the new flight.
+	f2 := lead(t, c, 0, 1, 0, 0)
+	var zero R
+	f2.Fulfill(zero, errors.New("boom"))
+	f3 := lead(t, c, 0, 1, 0, 0)
+	if f3.slot == f2.slot && f3.gen == f2.gen {
+		t.Fatal("a reused slot kept its generation")
+	}
+	f2.Fulfill(s.mk(7, 7), nil)
+	if _, ok := c.Get(0, 1); ok {
+		t.Fatal("a stale handle resolved its slot's next flight")
+	}
+	f3.Fulfill(s.mk(2, 2), nil)
+	if row, ok := c.Get(0, 1); !ok || !s.is(row, 2, 2) {
+		t.Fatalf("new flight's row: ok=%v row=%+v", ok, row)
 	}
 }
 
@@ -349,7 +432,7 @@ func testEpochs[R any](t *testing.T, s suite[R]) {
 	// A pending epoch-7 fetch must not coalesce an epoch-8 reader.
 	f7 := lead(t, c, 0, 9, 7, 1)
 	f8 := lead(t, c, 0, 9, 8, 1)
-	if f7 == f8 {
+	if sameFlight(f7, f8) {
 		t.Fatal("epoch-8 read coalesced onto the epoch-7 flight")
 	}
 	f7.Fulfill(s.mk(1, 7), nil)
@@ -381,8 +464,8 @@ func testAdmission[R any](t *testing.T, s suite[R]) {
 	// The leader's own mass is below the threshold, but a high-mass query
 	// coalesces onto the same flight: the row earns its slot from the maximum.
 	f := lead(t, c, 1, 3, 0, 0.1)
-	if _, hit, f2, leader := c.GetOrReserveAt(1, 3, 0, 0.9); hit || leader || f2 != f {
-		t.Fatalf("coalesce: hit=%v leader=%v sameFlight=%v", hit, leader, f2 == f)
+	if _, hit, f2, leader := c.GetOrReserveAt(1, 3, 0, 0.9); hit || leader || !sameFlight(f2, f) {
+		t.Fatalf("coalesce: hit=%v leader=%v sameFlight=%v", hit, leader, sameFlight(f2, f))
 	}
 	f.Fulfill(s.mk(4, 3), nil)
 	if _, ok := c.Get(1, 3); !ok {

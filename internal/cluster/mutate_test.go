@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"pprengine/internal/delta"
 	"pprengine/internal/graph"
 	"pprengine/internal/partition"
+	"pprengine/internal/ppr"
 	"pprengine/internal/shard"
 )
 
@@ -433,5 +435,104 @@ func TestAppendedVertexReadableAfterCompact(t *testing.T) {
 	}
 	if err := c.Deltas[sh].CheckLocalAt(sh, local, epoch); err != nil {
 		t.Fatalf("CheckLocalAt on the baked vertex: %v", err)
+	}
+}
+
+// TestHaloRowFreshAfterCompact settles whether a halo row survives a
+// compaction. With R=2 a machine's store bases its own shard and the replica
+// it hosts, so a compaction bakes a mutated vertex of the replica shard into
+// the rebuilt bases — including the rebuilt halo rows of the own shard — and
+// drops its version chain. An epoch-pinned query that diverts that vertex to
+// the halo path must then read the rebuilt row, not the static shard's
+// pre-mutation copy: its scores must match power iteration on the graph
+// rebuilt from the write history.
+func TestHaloRowFreshAfterCompact(t *testing.T) {
+	g := testGraph(34, 300, 1800)
+	a, err := partition.Partition(g, 2, partition.Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, loc, err := shard.BuildWithOptions(g, a, 2, shard.BuildOptions{CacheHaloRows: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mutableCluster(t, shards, loc, partition.Evaluate(g, a), Options{NumMachines: 2, ProcsPerMachine: 1, Replicas: 2})
+	defer c.Close()
+
+	// A source on shard 0 with a neighbor v on shard 1: v is a halo row of
+	// shard 0, and machine 0's store bases shard 1 through its replica.
+	var src, v graph.NodeID = -1, -1
+	for u := graph.NodeID(0); u < graph.NodeID(g.NumNodes) && v < 0; u++ {
+		if a[u] != 0 {
+			continue
+		}
+		for _, n := range g.Neighbors(u) {
+			if a[n] == 1 && g.Degree(n) >= 2 {
+				src, v = u, n
+				break
+			}
+		}
+	}
+	if v < 0 {
+		t.Fatal("no shard-0 vertex with a shard-1 neighbor")
+	}
+	if !c.Deltas[0].HasBase(1) {
+		t.Fatal("machine 0's store does not base the replica shard")
+	}
+	// Rewire v: drop one edge, add a heavy one to a vertex it did not reach.
+	drop := g.Neighbors(v)[0]
+	far := graph.NodeID(-1)
+	for w := graph.NodeID(0); far < 0; w++ {
+		if w != v && !slices.Contains(g.Neighbors(v), w) {
+			far = w
+		}
+	}
+	muts := []delta.Mutation{
+		{Op: delta.OpDelEdge, Src: v, Dst: drop},
+		{Op: delta.OpAddEdge, Src: v, Dst: far, Weight: 4},
+	}
+	ctx := context.Background()
+	if _, err := c.Mutate(ctx, muts); err != nil {
+		t.Fatal(err)
+	}
+	for m, st := range c.Deltas {
+		if cs := st.Compact(); cs.RowsBaked == 0 {
+			t.Fatalf("machine %d: compaction baked no rows", m)
+		}
+	}
+
+	// The graph the writes describe, rebuilt from scratch.
+	var edges []graph.Edge
+	for u := graph.NodeID(0); u < graph.NodeID(g.NumNodes); u++ {
+		for i, n := range g.Neighbors(u) {
+			if u != v || n != drop {
+				edges = append(edges, graph.Edge{Src: u, Dst: n, Weight: g.EdgeWeights(u)[i]})
+			}
+		}
+	}
+	edges = append(edges, graph.Edge{Src: v, Dst: far, Weight: 4})
+	g2, err := graph.FromEdges(g.NumNodes, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := detConfig()
+	cfg.Eps = 1e-10
+	exact, _ := ppr.PowerIteration(g2, src, cfg.Alpha, 1e-13, 100000)
+
+	st := c.Storages[0][0]
+	_, local := loc.Locate(src)
+	m, stats, err := core.RunSSPPR(ctx, st, local, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	if stats.HaloRows == 0 {
+		t.Fatal("the query read no halo rows")
+	}
+	got := core.ScoresGlobal(st, m)
+	for u, want := range exact {
+		if d := math.Abs(got[graph.NodeID(u)] - want); d > 1e-6 {
+			t.Fatalf("node %d: score %.9g, rebuilt graph %.9g (v=%d, far=%d)", u, got[graph.NodeID(u)], want, v, far)
+		}
 	}
 }

@@ -19,32 +19,51 @@ type NeighborBatch interface {
 	Row(i int) (locals, shards []int32, weights, wdegs []float32, rowWDeg float32)
 }
 
-// localBatch wraps VertexProp views of the local shard — the shared-memory
-// fast path (no serialization, no copies).
-type localBatch struct {
-	vps []shard.VertexProp
+// shardBatch is the shared-memory fast path over core vertices of a shard: row
+// i is read from the shard's CSR arrays when asked for — no serialization, no
+// copies, no per-row view built up front.
+type shardBatch struct {
+	s      *shard.Shard
+	locals []int32
 }
 
-func (b *localBatch) NumRows() int { return len(b.vps) }
+func (b *shardBatch) NumRows() int { return len(b.locals) }
 
-func (b *localBatch) Row(i int) (locals, shards []int32, weights, wdegs []float32, rowWDeg float32) {
-	vp := b.vps[i]
+func (b *shardBatch) Row(i int) (locals, shards []int32, weights, wdegs []float32, rowWDeg float32) {
+	vp := b.s.VertexProp(b.locals[i])
 	return vp.Locals, vp.Shards, vp.Weights, vp.WDegs, vp.WDeg
 }
 
-// LocalBatch builds the zero-copy batch for a list of core vertices of s.
-// IDs must already be validated.
+// LocalBatch builds the zero-copy batch for a list of core vertices of s. IDs
+// must already be validated, and locals must not change while the batch is
+// read.
 func LocalBatch(s *shard.Shard, locals []int32) NeighborBatch {
-	vps := make([]shard.VertexProp, len(locals))
-	for i, l := range locals {
-		vps[i] = s.VertexProp(l)
-	}
-	return &localBatch{vps: vps}
+	return &shardBatch{s: s, locals: locals}
+}
+
+// vpBatch wraps pre-resolved VertexProp views: halo-cache hits, and rows the
+// delta store resolved at a pinned epoch.
+type vpBatch []shard.VertexProp
+
+func (b *vpBatch) NumRows() int { return len(*b) }
+
+func (b *vpBatch) Row(i int) (locals, shards []int32, weights, wdegs []float32, rowWDeg float32) {
+	vp := &(*b)[i]
+	return vp.Locals, vp.Shards, vp.Weights, vp.WDegs, vp.WDeg
 }
 
 // VPBatch wraps pre-fetched VertexProp views (e.g. halo-cache hits).
 func VPBatch(vps []shard.VertexProp) NeighborBatch {
-	return &localBatch{vps: vps}
+	b := vpBatch(vps)
+	return &b
+}
+
+// localRows is where a read of the local shard puts its rows: one of the two
+// zero-copy batch kinds. A query's loop scratch holds one, so a round's local
+// fetch allocates nothing.
+type localRows struct {
+	shard shardBatch
+	vps   vpBatch
 }
 
 // infosBatch adapts rows [off, off+rows) of a decoded wire.NeighborInfos to
@@ -69,16 +88,14 @@ func InfosBatch(n *wire.NeighborInfos) NeighborBatch {
 	return &infosBatch{n: n, rows: n.NumRows()}
 }
 
-// rowBatch adapts rows assembled from the dynamic neighbor-row cache (hits,
-// single-flight results) to the NeighborBatch view.
-type rowBatch struct {
-	rows []cache.Row
-}
+// rowBatch adapts a cache-mediated fetch's resolved lookups (hits,
+// single-flight results) to the NeighborBatch view, reading them in place.
+type rowBatch []cache.Lookup[cache.Row]
 
-func (b *rowBatch) NumRows() int { return len(b.rows) }
+func (b *rowBatch) NumRows() int { return len(*b) }
 
 func (b *rowBatch) Row(i int) (locals, shards []int32, weights, wdegs []float32, rowWDeg float32) {
-	r := b.rows[i]
+	r := &(*b)[i].Row
 	return r.Locals, r.Shards, r.Weights, r.WDegs, r.WDeg
 }
 

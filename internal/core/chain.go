@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"pprengine/internal/agg"
 	"pprengine/internal/cache"
 	"pprengine/internal/ha"
 	"pprengine/internal/mem"
 	"pprengine/internal/obs"
+	"pprengine/internal/rpc"
 	"pprengine/internal/wire"
 )
 
@@ -42,13 +44,12 @@ import (
 type tier[R, V any] struct {
 	wire     *agg.Tier
 	waitSpan string // the span timing a query blocked on single-flight fills
-	// fulfill copies rows [off, off+len(flights)) of b into cache-owned
-	// storage, one per flight.
-	fulfill func(b agg.Batch, off int, flights []*cache.Flight[R])
+	// copyRow copies row i of b into cache-owned storage.
+	copyRow func(b agg.Batch, i int) R
 	// view wraps rows [off, off+n) of b for the caller without copying.
 	view func(b agg.Batch, off, n int) V
-	// assemble builds the caller's view from cache-owned rows.
-	assemble func(rows []R) (V, error)
+	// assemble builds the caller's view from the fetch's resolved lookups.
+	assemble func(ls *[]cache.Lookup[R]) (V, error)
 	// wrapErr maps a remote error back to the tier's typed sentinels.
 	wrapErr func(error) error
 }
@@ -56,27 +57,20 @@ type tier[R, V any] struct {
 var neighborTier = &tier[cache.Row, NeighborBatch]{
 	wire:     agg.Neighbors,
 	waitSpan: "cache:wait",
-	fulfill: func(b agg.Batch, off int, flights []*cache.Flight[cache.Row]) {
-		infos := b.(*wire.NeighborInfos)
-		for i, fl := range flights {
-			fl.Fulfill(copyRow(infos, off+i), nil)
-		}
-	},
+	copyRow:  func(b agg.Batch, i int) cache.Row { return copyRow(b.(*wire.NeighborInfos), i) },
 	view: func(b agg.Batch, off, n int) NeighborBatch {
 		return &infosBatch{n: b.(*wire.NeighborInfos), off: off, rows: n}
 	},
-	assemble: func(rows []cache.Row) (NeighborBatch, error) { return &rowBatch{rows: rows}, nil },
+	// The batch reads the rows in place: no copy, no allocation.
+	assemble: func(ls *[]cache.Lookup[cache.Row]) (NeighborBatch, error) { return (*rowBatch)(ls), nil },
 	wrapErr:  func(err error) error { return err },
 }
 
 var featureTier = &tier[[]float32, agg.FeatureBlock]{
 	wire:     agg.Features,
 	waitSpan: "featcache:wait",
-	fulfill: func(b agg.Batch, off int, flights []*cache.Flight[[]float32]) {
-		fb := b.(*agg.FeatureBlock)
-		for i, fl := range flights {
-			fl.Fulfill(append([]float32(nil), fb.Rows(off+i, 1)...), nil)
-		}
+	copyRow: func(b agg.Batch, i int) []float32 {
+		return append([]float32(nil), b.(*agg.FeatureBlock).Rows(i, 1)...)
 	},
 	view: func(b agg.Batch, off, n int) agg.FeatureBlock {
 		fb := b.(*agg.FeatureBlock)
@@ -84,14 +78,15 @@ var featureTier = &tier[[]float32, agg.FeatureBlock]{
 	},
 	// The block is assembled into a fresh contiguous slice — cache rows stay
 	// cache-owned.
-	assemble: func(rows [][]float32) (agg.FeatureBlock, error) {
+	assemble: func(ls *[]cache.Lookup[[]float32]) (agg.FeatureBlock, error) {
 		out := agg.FeatureBlock{Data: []float32{}}
-		if len(rows) == 0 {
+		if len(*ls) == 0 {
 			return out, nil
 		}
-		out.Dim = len(rows[0])
-		out.Data = make([]float32, 0, len(rows)*out.Dim)
-		for i, row := range rows {
+		out.Dim = len((*ls)[0].Row)
+		out.Data = make([]float32, 0, len(*ls)*out.Dim)
+		for i := range *ls {
+			row := (*ls)[i].Row
 			if len(row) != out.Dim {
 				return agg.FeatureBlock{}, fmt.Errorf("core: cached feature rows disagree on dim: %d vs %d (row %d)", out.Dim, len(row), i)
 			}
@@ -103,18 +98,18 @@ var featureTier = &tier[[]float32, agg.FeatureBlock]{
 }
 
 // copyRow copies batch row i into cache-owned storage, so a cached hub row
-// does not pin the whole decoded response. One int32 and one float32 backing
-// array serve all four slices.
+// does not pin the whole decoded response. All four columns are carved from
+// one pointer-free block — the float columns alias it the way the wire view
+// decoder aliases typed columns over one buffer — so a row costs one object.
 func copyRow(infos *wire.NeighborInfos, i int) cache.Row {
 	l, s, w, d := infos.Row(i)
 	deg := len(l)
-	ints := make([]int32, 2*deg)
-	floats := make([]float32, 2*deg)
+	block := make([]int32, 4*deg)
 	r := cache.Row{
-		Locals:  ints[:deg:deg],
-		Shards:  ints[deg:],
-		Weights: floats[:deg:deg],
-		WDegs:   floats[deg:],
+		Locals:  block[:deg:deg],
+		Shards:  block[deg : 2*deg : 2*deg],
+		Weights: asF32s(block[2*deg : 3*deg]),
+		WDegs:   asF32s(block[3*deg:]),
 		WDeg:    infos.RowWDeg[i],
 	}
 	copy(r.Locals, l)
@@ -122,6 +117,11 @@ func copyRow(infos *wire.NeighborInfos, i int) cache.Row {
 	copy(r.Weights, w)
 	copy(r.WDegs, d)
 	return r
+}
+
+// asF32s reinterprets a block of 4-byte words as float32s.
+func asF32s(b []int32) []float32 {
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b))), len(b))
 }
 
 // Chain is one row type's fetch chain on a compute handle. Cache and Aggs are
@@ -170,31 +170,18 @@ func (c *Chain[R, V]) fetch(ctx context.Context, dst int32, epoch uint64, locals
 		// another query's fetch leads. The rows this fetch leads are DISTINCT
 		// — the cache already deduplicated identical ones — and go down the
 		// rest of the chain as one request.
-		f.rows = make([]R, len(locals))
-		f.flights = make([]*cache.Flight[R], len(locals))
+		f.cache, f.lookups = c.Cache, make([]cache.Lookup[R], len(locals))
 		f.tr, f.sc = c.g.Tracer, sc
-		lead = nil
-		for i, l := range locals {
-			m := 0.0
-			if mass != nil {
-				m = mass[i]
-			}
-			row, hit, fl, leader := c.Cache.GetOrReserveAt(dst, l, epoch, m)
-			switch {
-			case hit:
-				f.rows[i] = row
-				f.CacheHits++
-			case leader:
-				f.flights[i] = fl
-				lead = append(lead, l)
-				f.leaders = append(f.leaders, fl)
-			default:
-				f.flights[i] = fl
-				f.CacheCoalesced++
-			}
-		}
-		if len(lead) == 0 {
+		hits, leads, coalesced := c.Cache.GetOrReserveAll(dst, epoch, locals, mass, f.lookups)
+		f.CacheHits, f.CacheCoalesced = int64(hits), int64(coalesced)
+		if leads == 0 {
 			return f
+		}
+		lead = make([]int32, 0, leads)
+		for i := range f.lookups {
+			if f.lookups[i].State == cache.Lead {
+				lead = append(lead, locals[i])
+			}
 		}
 	}
 	f.RemoteRows = int64(len(lead))
@@ -210,7 +197,7 @@ func (c *Chain[R, V]) fetch(ctx context.Context, dst int32, epoch uint64, locals
 			decode:   c.t.wire.Decode, zeroCopy: zeroCopy, rows: len(lead), bytes: int64(len(payload)),
 		}
 	}
-	if f.leaders != nil && !f.src.OnDone(f.fulfil) {
+	if f.lookups != nil && !f.src.OnDone(f.fulfil) {
 		f.fulfil() // already resolved: the hook is ours to run
 	}
 	return f
@@ -297,12 +284,13 @@ type Future[R, V any] struct {
 	v        V
 	err      error
 
-	// Cache-mediated fetches: rows[i] was a hit or is filled by flights[i].
-	rows    []R
-	flights []*cache.Flight[R]
-	// leaders are the flights this fetch leads; src's completion hook (fulfil)
-	// resolves them, so an abandoned leader never strands coalesced waiters.
-	leaders []*cache.Flight[R]
+	// Cache-mediated fetches: one lookup per requested row — a hit, a row
+	// this fetch leads (fulfil stores it), or another fetch's flight. filled
+	// completes once fulfil has stored the led rows, or set leadErr.
+	cache   *cache.LRU[R]
+	lookups []cache.Lookup[R]
+	filled  rpc.Completion
+	leadErr error
 
 	// src is the wire request this fetch issued (nil: none needed). Uncached,
 	// it is the wait source and the future holds its buffer until Release;
@@ -328,20 +316,28 @@ func readyFuture[R, V any](v V, err error) *Future[R, V] {
 }
 
 // fulfil is the completion hook of a cache-mediated fetch's wire request: it
-// fulfils the flights the fetch leads — each row copied into cache-owned
-// storage and inserted — and sends the response buffer home, so an abandoned
-// leader still resolves its flights and returns its buffer.
+// copies each row the fetch leads into cache-owned storage — no lock held —
+// and releases the leading query, which needs nothing more; then it fulfils
+// the flights, which inserts the rows and hands them to every query that
+// coalesced onto them, and sends the response buffer home. An abandoned
+// leader thus still resolves its flights and returns its buffer. From the
+// Complete on, the query reads the lookups' rows and writes its coalesced
+// ones while FulfillAll reads the led ones: disjoint fields.
 func (f *Future[R, V]) fulfil() {
 	b, off, err := f.src.Wait(context.Background()) // resolved: does not block
 	if err != nil {
 		err = f.t.wrapErr(err)
-		var zero R
-		for _, fl := range f.leaders {
-			fl.Fulfill(zero, err)
-		}
 	} else {
-		f.t.fulfill(b, off, f.leaders)
+		for i := range f.lookups {
+			if l := &f.lookups[i]; l.State == cache.Lead {
+				l.Row = f.t.copyRow(b, off)
+				off++
+			}
+		}
 	}
+	f.leadErr = err
+	f.filled.Complete()
+	f.cache.FulfillAll(f.lookups, err)
 	f.src.Release()
 }
 
@@ -355,29 +351,9 @@ func (f *Future[R, V]) WaitCtx(ctx context.Context) (V, error) {
 		return f.v, f.err
 	}
 	f.resolved = true
-	if f.flights != nil {
-		// Hits are in place; every other row waits on its flight. The wait is
-		// timed when at least one row is in flight: the time this query spent
-		// blocked on its own request or on another query's.
-		var span obs.ActiveSpan
-		waiting := false
-		for i, fl := range f.flights {
-			if fl == nil {
-				continue
-			}
-			if !waiting {
-				waiting = true
-				span = f.tr.StartSpan(f.sc, f.t.waitSpan)
-				span.SetShard(f.dst)
-			}
-			if f.rows[i], f.err = fl.Wait(ctx); f.err != nil {
-				break
-			}
-		}
-		span.SetErr(f.err != nil)
-		span.End()
-		if f.err == nil {
-			f.v, f.err = f.t.assemble(f.rows)
+	if f.lookups != nil {
+		if f.err = f.waitRows(ctx); f.err == nil {
+			f.v, f.err = f.t.assemble(&f.lookups)
 		}
 	} else if b, off, err := f.src.Wait(ctx); err == nil {
 		f.v = f.t.view(b, off, f.n)
@@ -388,13 +364,41 @@ func (f *Future[R, V]) WaitCtx(ctx context.Context) (V, error) {
 	return f.v, f.err
 }
 
+// waitRows blocks until every row of a cache-mediated fetch is in its lookup:
+// the rows it leads (fulfil stores them) and those riding other fetches'
+// flights. The wait is timed when anything was in flight: the time this
+// query spent blocked on its own request or on another query's.
+func (f *Future[R, V]) waitRows(ctx context.Context) (err error) {
+	if f.src == nil && f.CacheCoalesced == 0 {
+		return nil // all hits
+	}
+	span := f.tr.StartSpan(f.sc, f.t.waitSpan)
+	span.SetShard(f.dst)
+	if f.src != nil {
+		select {
+		case <-f.filled.Done():
+			err = f.leadErr
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	for i := 0; i < len(f.lookups) && err == nil; i++ {
+		if l := &f.lookups[i]; l.State == cache.Coalesced {
+			l.Row, err = l.Flight.Wait(ctx)
+		}
+	}
+	span.SetErr(err != nil)
+	span.End()
+	return err
+}
+
 // Release hands back the pooled response buffer backing the view WaitCtx
 // returned. Call it only after every read of that view — afterwards its rows
 // may alias recycled memory. Idempotent and nil-safe; a no-op for futures
 // whose view owns its memory (shared-memory reads, cache-assembled rows,
 // copy-decoded responses). Releasing an unresolved fetch abandons it.
 func (f *Future[R, V]) Release() {
-	if f != nil && f.flights == nil && f.src != nil {
+	if f != nil && f.lookups == nil && f.src != nil {
 		f.src.Release()
 	}
 }

@@ -173,16 +173,18 @@ type pendingFetch struct {
 }
 
 // loopScratch holds the driver loop's per-round buffers: the per-shard
-// grouping, the halo diversion slices, the pending-fetch list and the
-// constant shard-ID column of a push. Each is reset, never reallocated, per
-// round, and the served engine carries the whole set from query to query.
+// grouping, the halo diversion slices, the pending-fetch list, the constant
+// shard-ID column of a push and the batches local rows are served through.
+// Each is reset, never reallocated, per round, and the served engine carries
+// the whole set from query to query.
 type loopScratch struct {
 	byShard                [][]int32
 	remotes                []pendingFetch
 	batches                []NeighborBatch // synchronous (non-Overlap) variant only
-	haloVPs                []shard.VertexProp
+	haloVPs                vpBatch
 	haloLocals, haloShards []int32
 	shardIDs               []int32
+	local                  localRows
 }
 
 // reset drops what the scratch references outside itself — futures, response
@@ -192,6 +194,7 @@ func (sc *loopScratch) reset() {
 	clear(sc.remotes[:cap(sc.remotes)])
 	clear(sc.batches[:cap(sc.batches)])
 	clear(sc.haloVPs[:cap(sc.haloVPs)])
+	sc.local = localRows{}
 }
 
 // sameShard returns n copies of shard, the shard column of a single-shard
@@ -268,9 +271,7 @@ func runLoop(ctx context.Context, g *DistGraphStorage, m Engine, sc *loopScratch
 		if len(sc.haloVPs) > 0 {
 			// Halo-cached rows: shared-memory fetch, like local rows.
 			stats.HaloRows += int64(len(sc.haloVPs))
-			var hb NeighborBatch
-			bd.Time(metrics.PhaseLocalFetch, func() { hb = VPBatch(sc.haloVPs) })
-			bd.Time(metrics.PhasePush, func() { m.Push(hb, sc.haloLocals, sc.haloShards) })
+			bd.Time(metrics.PhasePush, func() { m.Push(&sc.haloVPs, sc.haloLocals, sc.haloShards) })
 		}
 		if len(byShard[self]) == 0 {
 			return nil
@@ -280,9 +281,7 @@ func runLoop(ctx context.Context, g *DistGraphStorage, m Engine, sc *loopScratch
 		fetchSpan := tr.StartSpan(qsc, "local-fetch")
 		fetchSpan.SetShard(self)
 		bd.Time(metrics.PhaseLocalFetch, func() {
-			fut := g.GetNeighborInfos(ctx, self, byShard[self], cfg)
-			batch, err = fut.WaitCtx(ctx)
-			account(fut)
+			batch, err = g.readLocal(byShard[self], cfg.PinnedEpoch, &sc.local)
 		})
 		fetchSpan.SetErr(err != nil)
 		fetchSpan.End()
@@ -320,14 +319,18 @@ func runLoop(ctx context.Context, g *DistGraphStorage, m Engine, sc *loopScratch
 		for i, l := range locals {
 			sh := shards[i]
 			if useHalo && sh != self {
-				if vp, ok := g.Local.HaloRow(sh, l); ok {
-					if epoch != 0 {
-						// Epoch-pinned queries must not read a stale halo copy:
-						// the delta store re-resolves a mutated row and patches
-						// the degree columns of an unmutated one — still a
-						// shared-memory read, no RPC.
-						vp = g.Delta.PatchHalo(vp, sh, l, epoch)
-					}
+				var vp shard.VertexProp
+				var ok bool
+				if epoch != 0 && g.Delta != nil {
+					// Epoch-pinned queries must not read a stale halo copy: the
+					// delta store resolves the row through its current base of
+					// this shard (rebuilt by compaction) and the row's newer
+					// versions — still a shared-memory read, no RPC.
+					vp, ok = g.Delta.HaloRow(self, sh, l, epoch)
+				} else {
+					vp, ok = g.Local.HaloRow(sh, l)
+				}
+				if ok {
 					sc.haloVPs = append(sc.haloVPs, vp)
 					sc.haloLocals = append(sc.haloLocals, l)
 					sc.haloShards = append(sc.haloShards, sh)

@@ -491,27 +491,34 @@ func (g *DistGraphStorage) GetNeighborInfos(ctx context.Context, dstShard int32,
 		}
 		return g.Neighbors.fetch(ctx, dstShard, epoch, locals, nil, cfg.ZeroCopy)
 	}
+	b, err := g.readLocal(locals, epoch, new(localRows))
+	return readyFuture[cache.Row](b, err)
+}
+
+// readLocal serves rows of the local shard as of epoch into dst, which the
+// returned batch points into. An epoch-pinned read resolves through the delta
+// overlay (materialized mutated rows, patched degree columns) instead of the
+// raw base CSR; unmutated rows still alias shared memory. IDs are validated
+// to mirror the server-side checks.
+func (g *DistGraphStorage) readLocal(locals []int32, epoch uint64, dst *localRows) (NeighborBatch, error) {
 	if epoch != 0 {
-		// Epoch-pinned local read: rows resolve through the delta overlay
-		// (materialized mutated rows, patched degree columns) instead of
-		// the raw base CSR. Unmutated rows still alias shared memory.
 		if g.Delta == nil {
-			return readyFuture[cache.Row, NeighborBatch](nil, fmt.Errorf("core: epoch %d pinned but no delta store attached (shard %d)", epoch, dstShard))
+			return nil, fmt.Errorf("core: epoch %d pinned but no delta store attached (shard %d)", epoch, g.ShardID)
 		}
-		vps, err := g.Delta.VertexProps(dstShard, locals, epoch)
+		vps, err := g.Delta.VertexProps(g.ShardID, locals, epoch)
 		if err != nil {
-			return readyFuture[cache.Row, NeighborBatch](nil, err)
+			return nil, err
 		}
-		return readyFuture[cache.Row](VPBatch(vps), nil)
+		dst.vps = vps
+		return &dst.vps, nil
 	}
-	// Shared-memory path: VertexProp views, no serialization. Validate
-	// IDs to mirror the server-side checks.
 	for _, l := range locals {
 		if err := g.Local.CheckLocal(l); err != nil {
-			return readyFuture[cache.Row, NeighborBatch](nil, err)
+			return nil, err
 		}
 	}
-	return readyFuture[cache.Row](LocalBatch(g.Local, locals), nil)
+	dst.shard = shardBatch{s: g.Local, locals: locals}
+	return &dst.shard, nil
 }
 
 // SampleFuture is the future for a sample_one_neighbor call.

@@ -496,18 +496,30 @@ func (s *Store) CheckLocalAt(sh, local int32, e uint64) error {
 	return fmt.Errorf("delta: shard %d local %d does not exist at epoch %d", sh, local, e)
 }
 
-// PatchHalo re-resolves a halo-cached row as of epoch e: the row's
-// materialized version if it was mutated, else the cached row with its degree
-// columns patched. Chains are global state (every machine applies every
-// batch), so halo reads never need an RPC to stay epoch-consistent.
-func (s *Store) PatchHalo(vp shard.VertexProp, sh, local int32, e uint64) shard.VertexProp {
+// HaloRow resolves halo node (sh, local) as cached by based shard on, as of
+// epoch e: the row's materialized version if it was mutated, else the halo
+// row of on's current base — which a compaction rebuilds when it bakes and
+// drops a version chain, so the static shard's copy would then be stale —
+// with its degree columns patched. Chains are global state (every machine
+// applies every batch), so halo reads never need an RPC to stay
+// epoch-consistent. ok=false when on is not based here or does not cache
+// the node.
+func (s *Store) HaloRow(on, sh, local int32, e uint64) (shard.VertexProp, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	base := s.bases[on]
+	if base == nil {
+		return shard.VertexProp{}, false
+	}
+	vp, ok := base.HaloRow(sh, local)
+	if !ok {
+		return shard.VertexProp{}, false
+	}
 	k := Key{sh, local}
 	if v := versionAt(s.rows[k], e); v != nil {
 		vp = v.view(local)
 	}
-	return s.patchVPLocked(vp, k, e)
+	return s.patchVPLocked(vp, k, e), true
 }
 
 // MutatedSince returns the set of vertices whose row or degree changed in

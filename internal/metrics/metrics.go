@@ -199,6 +199,9 @@ var (
 	// CacheCoalesced counts rows that piggybacked on another query's
 	// in-flight fetch instead of issuing their own RPC.
 	CacheCoalesced Counter
+	// CacheRejected counts fetched rows the neighbor-row cache did not
+	// keep: larger than a whole lock stripe's share of the byte budget.
+	CacheRejected Counter
 	// AggFlushes counts merged wire requests sent by the cross-query fetch
 	// aggregator (internal/agg).
 	AggFlushes Counter
@@ -256,8 +259,9 @@ var (
 	FeatCacheMisses    Counter
 	FeatCacheCoalesced Counter
 	// FeatCacheEvictions counts feature rows evicted under the byte budget;
-	// FeatCacheRejected counts fetched rows the mass-based admission policy
-	// declined to cache (their PPR mass was below the threshold).
+	// FeatCacheRejected counts fetched rows not cached: declined by the
+	// mass-based admission policy (their PPR mass was below the threshold) or
+	// larger than a whole lock stripe's share of the budget.
 	FeatCacheEvictions Counter
 	FeatCacheRejected  Counter
 	// FeatCacheBytes / FeatCacheEntries track the resident size of the

@@ -24,6 +24,7 @@ func RegisterEngineMetrics(r *Registry) {
 	r.CounterFunc("ppr_cache_misses_total", "Rows that started a fetch (single-flight leaders).", nil, counterOf(&metrics.CacheMisses))
 	r.CounterFunc("ppr_cache_coalesced_total", "Rows that piggybacked on an in-flight fetch.", nil, counterOf(&metrics.CacheCoalesced))
 	r.CounterFunc("ppr_cache_evictions_total", "Rows evicted to stay under the cache byte budget.", nil, counterOf(&metrics.CacheEvictions))
+	r.CounterFunc("ppr_cache_rejected_total", "Fetched rows not cached: larger than a lock stripe's share of the byte budget.", nil, counterOf(&metrics.CacheRejected))
 	r.GaugeFunc("ppr_cache_bytes", "Resident bytes across the process's neighbor-row caches.", nil,
 		func() float64 { return float64(metrics.CacheBytes.Load()) })
 	r.GaugeFunc("ppr_cache_entries", "Resident rows across the process's neighbor-row caches.", nil,
@@ -37,7 +38,7 @@ func RegisterEngineMetrics(r *Registry) {
 	r.CounterFunc("ppr_feat_cache_misses_total", "Feature rows that started a fetch (single-flight leaders).", nil, counterOf(&metrics.FeatCacheMisses))
 	r.CounterFunc("ppr_feat_cache_coalesced_total", "Feature rows that piggybacked on an in-flight fetch.", nil, counterOf(&metrics.FeatCacheCoalesced))
 	r.CounterFunc("ppr_feat_cache_evictions_total", "Feature rows evicted to stay under the cache byte budget.", nil, counterOf(&metrics.FeatCacheEvictions))
-	r.CounterFunc("ppr_feat_cache_rejected_total", "Fetched feature rows declined by the mass-admission policy.", nil, counterOf(&metrics.FeatCacheRejected))
+	r.CounterFunc("ppr_feat_cache_rejected_total", "Fetched feature rows not cached: declined by the mass-admission policy or larger than a lock stripe's share of the byte budget.", nil, counterOf(&metrics.FeatCacheRejected))
 	r.GaugeFunc("ppr_feat_cache_bytes", "Resident bytes across the process's feature-row caches.", nil,
 		func() float64 { return float64(metrics.FeatCacheBytes.Load()) })
 	r.GaugeFunc("ppr_feat_cache_entries", "Resident rows across the process's feature-row caches.", nil,

@@ -29,7 +29,8 @@ import (
 type Config struct {
 	// CacheBytes, when > 0, is the byte budget of the machine's dynamic
 	// neighbor-row cache (internal/cache): decoded remote rows are kept in a
-	// sharded LRU and concurrent fetches of one vertex coalesce into one RPC.
+	// sharded, byte-budgeted cache and concurrent fetches of one vertex
+	// coalesce into one RPC.
 	CacheBytes int64
 	// AggWindow / AggRows, when either is > 0, give the machine one
 	// cross-query fetch aggregator per destination shard and row type

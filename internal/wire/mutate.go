@@ -130,10 +130,13 @@ func DecodeMutationAck(b []byte) (uint64, error) {
 // followed by the EncodeIDList layout. The server answers with the rows'
 // state as of that epoch (base CSR plus all deltas with epoch <= pinned).
 func EncodeIDListAt(epoch uint64, ids []int32) []byte {
-	b := make([]byte, 0, 12+4*len(ids))
-	b = binary.LittleEndian.AppendUint64(b, epoch)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ids)))
-	return putI32s(b, ids)
+	return AppendI32s(IDListAtHeader(epoch, len(ids)), ids)
+}
+
+// IDListAtHeader is IDListHeader for an EncodeIDListAt payload.
+func IDListAtHeader(epoch uint64, n int) []byte {
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 12+4*n), epoch)
+	return binary.LittleEndian.AppendUint32(b, uint32(n))
 }
 
 // DecodeIDListAt parses an EncodeIDListAt payload (copying decoder).

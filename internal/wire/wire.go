@@ -113,11 +113,17 @@ func getF32s(b []byte, n int) ([]float32, []byte, error) {
 }
 
 // EncodeIDList serializes a request: a list of local vertex IDs.
-func EncodeIDList(ids []int32) []byte {
-	b := make([]byte, 0, 4+4*len(ids))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ids)))
-	return putI32s(b, ids)
+func EncodeIDList(ids []int32) []byte { return AppendI32s(IDListHeader(len(ids)), ids) }
+
+// IDListHeader starts an EncodeIDList payload of n IDs: the header, with
+// capacity for the IDs, which the caller appends with AppendI32s — a request
+// gathered from several ID lists is encoded in one pass.
+func IDListHeader(n int) []byte {
+	return binary.LittleEndian.AppendUint32(make([]byte, 0, 4+4*n), uint32(n))
 }
+
+// AppendI32s appends v in the wire's little-endian int32 layout.
+func AppendI32s(dst []byte, v []int32) []byte { return putI32s(dst, v) }
 
 // DecodeIDList parses an EncodeIDList payload.
 func DecodeIDList(b []byte) ([]int32, error) {
