@@ -115,24 +115,26 @@ func (m *Striped) Pop() (locals, shards []int32) {
 // Push applies one fetched batch: batch row i holds the neighbor info of the
 // source vertex (locals[i], shards[i]). Following §3.3, the batch goes
 // multi-threaded only above the configured threshold; below it a single
-// thread avoids fork-join overhead.
-func (m *Striped) Push(batch core.NeighborBatch, locals, shards []int32) {
+// thread avoids fork-join overhead. The maps take any key, so Push never
+// fails: a row naming a vertex no shard holds fails its fetch instead.
+func (m *Striped) Push(batch core.NeighborBatch, locals, shards []int32) error {
 	if batch.NumRows() != len(locals) || len(locals) != len(shards) {
 		panic("baseline: Push batch size mismatch")
 	}
 	if batch.NumRows() == 0 {
-		return
+		return nil
 	}
 	workers := m.opt.Workers
 	if batch.NumRows() <= m.opt.Threshold || workers <= 1 {
 		m.pushSequential(batch, locals, shards)
-		return
+		return nil
 	}
 	if m.opt.Locked {
 		m.pushLocked(batch, locals, shards, workers)
-		return
+		return nil
 	}
 	m.pushOwned(batch, locals, shards, workers)
+	return nil
 }
 
 // claimRow atomically takes the full residual of a source vertex and

@@ -690,6 +690,7 @@ type RunResult struct {
 	Throughput float64 // successful queries per second across all machines
 	Breakdown  *metrics.Breakdown
 	Pushes     int64
+	Iterations int64 // pop rounds, summed over the successful queries
 	LocalRows  int64
 	RemoteRows int64
 	HaloRows   int64 // remote rows served by the halo cache
@@ -736,11 +737,12 @@ func (c *Cluster) RunSSPPRBatch(ctx context.Context, queriesByMachine [][]int32,
 	var res RunResult
 	breakdowns := make([][]*metrics.Breakdown, c.Opts.NumMachines)
 	type acc struct {
-		pushes, localRows, remoteRows, haloRows int64
-		cacheHits, cacheCoalesced               int64
-		rpcRequests, requestBytes               int64
-		timeouts                                int64
-		errs                                    []QueryError
+		pushes, iterations              int64
+		localRows, remoteRows, haloRows int64
+		cacheHits, cacheCoalesced       int64
+		rpcRequests, requestBytes       int64
+		timeouts                        int64
+		errs                            []QueryError
 	}
 	accs := make([][]acc, c.Opts.NumMachines)
 	var wg sync.WaitGroup
@@ -788,6 +790,7 @@ func (c *Cluster) RunSSPPRBatch(ctx context.Context, queriesByMachine [][]int32,
 						continue
 					}
 					a.pushes += stats.Pushes
+					a.iterations += int64(stats.Iterations)
 					a.localRows += stats.LocalRows
 					a.remoteRows += stats.RemoteRows
 					a.haloRows += stats.HaloRows
@@ -804,6 +807,7 @@ func (c *Cluster) RunSSPPRBatch(ctx context.Context, queriesByMachine [][]int32,
 		for p := range breakdowns[m] {
 			res.Breakdown.Merge(breakdowns[m][p])
 			res.Pushes += accs[m][p].pushes
+			res.Iterations += accs[m][p].iterations
 			res.LocalRows += accs[m][p].localRows
 			res.RemoteRows += accs[m][p].remoteRows
 			res.HaloRows += accs[m][p].haloRows

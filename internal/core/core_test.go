@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"pprengine/internal/graph"
@@ -249,7 +250,7 @@ func TestQueryStatsRemoteLocalSplit(t *testing.T) {
 }
 
 func TestSSPPRPopClearsSet(t *testing.T) {
-	m := NewSSPPR(4, 0, DefaultConfig())
+	m := NewSSPPR(4, 0, []int32{8}, DefaultConfig())
 	locals, shards := m.Pop()
 	if len(locals) != 1 || locals[0] != 4 || shards[0] != 0 {
 		t.Fatalf("pop = %v %v", locals, shards)
@@ -261,7 +262,7 @@ func TestSSPPRPopClearsSet(t *testing.T) {
 }
 
 func TestPushMismatchedSizesPanics(t *testing.T) {
-	m := NewSSPPR(0, 0, DefaultConfig())
+	m := NewSSPPR(0, 0, []int32{1}, DefaultConfig())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -472,13 +473,79 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestSSPPRKeyedByShard(t *testing.T) {
 	// Two vertices with the same local ID in different shards must not
-	// collide in the maps.
-	m := NewSSPPR(0, 0, DefaultConfig())
-	m.st.r.Set(pmap.Key{Local: 0, Shard: 1}, 0.5)
-	if v, _ := m.st.r.Get(pmap.Key{Local: 0, Shard: 0}); v != 1 {
+	// collide in the table.
+	m := NewSSPPR(0, 0, []int32{1, 1}, DefaultConfig())
+	tab := &m.st.t
+	tab.SwapR(tab.Slot(1, 0), 0.5)
+	if v := tab.R(tab.Find(0, 0)); v != 1 {
 		t.Fatalf("source residual = %v", v)
 	}
-	if v, _ := m.st.r.Get(pmap.Key{Local: 0, Shard: 1}); v != 0.5 {
+	if v := tab.R(tab.Find(1, 0)); v != 0.5 {
 		t.Fatalf("other residual = %v", v)
+	}
+	setScore(m, pmap.Key{Local: 0, Shard: 1}, 0.25)
+	if m.Score(pmap.Key{Local: 0, Shard: 0}) != 0 || m.Score(pmap.Key{Local: 0, Shard: 1}) != 0.25 {
+		t.Fatalf("scores %v", m.Scores())
+	}
+	if m.ScoreCount() != 1 {
+		t.Fatalf("ScoreCount = %d, want 1", m.ScoreCount())
+	}
+}
+
+// setScore gives a fresh key of m the reserve v.
+func setScore(m *SSPPR, k pmap.Key, v float64) {
+	tab := &m.st.t
+	tab.AddP(tab.Slot(k.Shard, k.Local), v)
+}
+
+// A remote row naming a neighbor outside the graph — a local past its
+// shard's core vertices, or a shard the deployment does not have — fails the
+// query with an error: never a panic, and never an allocation sized by the
+// forged value.
+func TestForgedRemoteRowFailsQuery(t *testing.T) {
+	g := testGraph(46, 400, 3200)
+	for _, tc := range []struct {
+		name  string
+		forge func(loc *shard.Locator, s *shard.Shard, i int)
+	}{
+		{"local at the core count", func(loc *shard.Locator, s *shard.Shard, i int) {
+			s.NbrLocal[i] = loc.CoreCount(s.NbrShard[i])
+		}},
+		{"local past the last page", func(loc *shard.Locator, s *shard.Shard, i int) {
+			s.NbrLocal[i] = loc.CoreCount(s.NbrShard[i]) + pmap.PageLocals
+		}},
+		{"huge local", func(_ *shard.Locator, s *shard.Shard, i int) { s.NbrLocal[i] = math.MaxInt32 }},
+		{"shard past the deployment", func(_ *shard.Locator, s *shard.Shard, i int) { s.NbrShard[i] = 7 }},
+		{"huge shard", func(_ *shard.Locator, s *shard.Shard, i int) { s.NbrShard[i] = math.MaxInt32 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			storages, shards, loc, cleanup := testDeployment(t, g, 2)
+			defer cleanup()
+			// Every row shard 1 serves is forged; a query from shard 0 meets
+			// them once its frontier crosses the cut.
+			for i := range shards[1].NbrLocal {
+				tc.forge(loc, shards[1], i)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			failed := 0
+			for src := int32(0); src < 20; src++ {
+				m, _, err := RunSSPPR(context.Background(), storages[0], src, DefaultConfig(), nil)
+				m.Release()
+				if err != nil {
+					if failed == 0 {
+						t.Log(err)
+					}
+					failed++
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if failed == 0 {
+				t.Fatal("no query met a forged row")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
+				t.Fatalf("20 queries allocated %d MiB", grew>>20)
+			}
+		})
 	}
 }

@@ -34,7 +34,8 @@ type Engine interface {
 	// valid until the next Pop.
 	Pop() (locals, shards []int32)
 	// Push applies one fetched batch, row i belonging to (locals[i], shards[i]).
-	Push(batch NeighborBatch, locals, shards []int32)
+	// An error (a row naming a vertex outside the graph) fails the query.
+	Push(batch NeighborBatch, locals, shards []int32) error
 	// Work returns the Pop rounds and push operations performed so far.
 	Work() (iterations int, pushes int64)
 	ScoreCount() int
@@ -64,9 +65,13 @@ func RunSSPPR(ctx context.Context, g *DistGraphStorage, sourceLocal int32, cfg C
 		return nil, q.stats, err
 	}
 	// The state is drawn only now, behind admission: a queued query holds no
-	// tables.
-	m := NewSSPPR(sourceLocal, g.ShardID, cfg)
-	stats, err := runLoop(q.ctx, g, m, &m.st.loop, cfg, bd)
+	// table.
+	m := newEmptySSPPR(cfg)
+	m.bind(g)
+	var stats QueryStats
+	if err = m.seed(sourceLocal, g.ShardID); err == nil {
+		stats, err = runLoop(q.ctx, g, m, &m.st.loop, cfg, bd)
+	}
 	q.end(&stats, err)
 	return m, stats, err
 }
@@ -240,12 +245,14 @@ func runLoop(ctx context.Context, g *DistGraphStorage, m Engine, sc *loopScratch
 	self := g.ShardID
 	// bd.Time takes closures that stay on the stack; bd.Start's stop function
 	// is a heap object per call.
-	pushShard := func(batch NeighborBatch, sh int32) {
+	pushShard := func(batch NeighborBatch, sh int32) (err error) {
 		pushSpan := tr.StartSpan(qsc, "push")
 		bd.Time(metrics.PhasePush, func() {
-			m.Push(batch, byShard[sh], sc.sameShard(len(byShard[sh]), sh))
+			err = m.Push(batch, byShard[sh], sc.sameShard(len(byShard[sh]), sh))
 		})
+		pushSpan.SetErr(err != nil)
 		pushSpan.End()
+		return err
 	}
 	// account adds a resolved fetch's wire counters to stats. It
 	// must run after the wait: an aggregated fetch only knows its share of
@@ -271,7 +278,11 @@ func runLoop(ctx context.Context, g *DistGraphStorage, m Engine, sc *loopScratch
 		if len(sc.haloVPs) > 0 {
 			// Halo-cached rows: shared-memory fetch, like local rows.
 			stats.HaloRows += int64(len(sc.haloVPs))
-			bd.Time(metrics.PhasePush, func() { m.Push(&sc.haloVPs, sc.haloLocals, sc.haloShards) })
+			var err error
+			bd.Time(metrics.PhasePush, func() { err = m.Push(&sc.haloVPs, sc.haloLocals, sc.haloShards) })
+			if err != nil {
+				return err
+			}
 		}
 		if len(byShard[self]) == 0 {
 			return nil
@@ -289,8 +300,7 @@ func runLoop(ctx context.Context, g *DistGraphStorage, m Engine, sc *loopScratch
 			return err
 		}
 		stats.LocalRows += int64(len(byShard[self]))
-		pushShard(batch, self)
-		return nil
+		return pushShard(batch, self)
 	}
 	for {
 		// Deadline check at the top of every push iteration: a cancelled
@@ -318,6 +328,11 @@ func runLoop(ctx context.Context, g *DistGraphStorage, m Engine, sc *loopScratch
 		epoch := cfg.PinnedEpoch
 		for i, l := range locals {
 			sh := shards[i]
+			if uint32(sh) >= uint32(g.NumShards) {
+				// Only an unbounded engine (internal/baseline) lets such a
+				// key through; the owner of the bad vertex is nobody.
+				return stats, badVertex(l, sh)
+			}
 			if useHalo && sh != self {
 				var vp shard.VertexProp
 				var ok bool
@@ -367,10 +382,13 @@ func runLoop(ctx context.Context, g *DistGraphStorage, m Engine, sc *loopScratch
 				if err != nil {
 					return stats, err
 				}
-				pushShard(batch, p.shard)
+				err = pushShard(batch, p.shard)
 				// The push copied what it keeps; the pooled response buffer
 				// backing the batch goes back to its pool.
 				p.fut.Release()
+				if err != nil {
+					return stats, err
+				}
 			}
 		} else {
 			// Synchronous variant: complete every fetch before pushing.
@@ -386,8 +404,11 @@ func runLoop(ctx context.Context, g *DistGraphStorage, m Engine, sc *loopScratch
 				return stats, err
 			}
 			for i, p := range sc.remotes {
-				pushShard(sc.batches[i], p.shard)
+				err := pushShard(sc.batches[i], p.shard)
 				p.fut.Release()
+				if err != nil {
+					return stats, err
+				}
 			}
 		}
 	}

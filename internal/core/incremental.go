@@ -205,11 +205,10 @@ func RunSSPPRIncrementalTopK(ctx context.Context, g *DistGraphStorage, cache *Re
 	metrics.IncrementalRepushes.Inc(1)
 	m := newEmptySSPPR(cfg)
 	defer m.Release()
-	for key, v := range st.p {
-		m.st.p.Set(key, v)
-	}
-	for key, v := range st.r {
-		m.st.r.Set(key, v)
+	m.bind(g)
+	tab := &m.st.t
+	if err := loadState(tab, st); err != nil {
+		return nil, QueryStats{}, ic, err
 	}
 	sort.Slice(mutated, func(i, j int) bool {
 		if mutated[i].Shard != mutated[j].Shard {
@@ -273,8 +272,12 @@ func RunSSPPRIncrementalTopK(ctx context.Context, g *DistGraphStorage, cache *Re
 		return ckeys[i].Local < ckeys[j].Local
 	})
 	for _, t := range ckeys {
-		if nv := m.st.r.AddP(t.Packed(), corr[t]); nv > cfg.Eps*wdegAt[t] {
-			m.st.act.InsertP(t.Packed())
+		s := tab.Slot(t.Shard, t.Local)
+		if s < 0 {
+			return nil, QueryStats{}, ic, badVertex(t.Local, t.Shard)
+		}
+		if nv := tab.AddR(s, corr[t]); nv > cfg.Eps*wdegAt[t] {
+			tab.Activate(s)
 		}
 	}
 	// Mutated vertices whose residual predates the corrections: their degree
@@ -285,8 +288,8 @@ func RunSSPPRIncrementalTopK(ctx context.Context, g *DistGraphStorage, cache *Re
 		if _, corrected := corr[ukey]; corrected {
 			continue
 		}
-		if rv, _ := m.st.r.Get(ukey); rv > cfg.Eps*wdegAt[ukey] {
-			m.st.act.InsertP(ukey.Packed())
+		if s := tab.Find(ukey.Shard, ukey.Local); s >= 0 && tab.R(s) > cfg.Eps*wdegAt[ukey] {
+			tab.Activate(s)
 		}
 	}
 	stats, err := runLoop(ctx, g, m, &m.st.loop, cfg, bd)
@@ -295,6 +298,26 @@ func RunSSPPRIncrementalTopK(ctx context.Context, g *DistGraphStorage, cache *Re
 	}
 	cache.put(sourceLocal, snapshotState(m, epoch, cfg))
 	return m.TopK(k), stats, ic, nil
+}
+
+// loadState seeds an empty table with a cached state's reserves and
+// residuals.
+func loadState(tab *pmap.Flat, st *residState) error {
+	for key, v := range st.p {
+		s := tab.Slot(key.Shard, key.Local)
+		if s < 0 {
+			return badVertex(key.Local, key.Shard)
+		}
+		tab.AddP(s, v)
+	}
+	for key, v := range st.r {
+		s := tab.Slot(key.Shard, key.Local)
+		if s < 0 {
+			return badVertex(key.Local, key.Shard)
+		}
+		tab.SwapR(s, v)
+	}
+	return nil
 }
 
 // snapshotState copies a finished run's reserve and residual maps into a
@@ -313,9 +336,7 @@ func snapshotState(m *SSPPR, epoch uint64, cfg Config) *residState {
 		return true
 	})
 	m.RangeResiduals(func(k pmap.Key, v float64) bool {
-		if v != 0 {
-			st.r[k] = v
-		}
+		st.r[k] = v
 		return true
 	})
 	return st

@@ -197,11 +197,11 @@ func TestSampleNeighborsRemoteError(t *testing.T) {
 }
 
 func TestTopK(t *testing.T) {
-	m := NewSSPPR(0, 0, DefaultConfig())
-	m.st.p.Set(pmap.Key{Local: 1, Shard: 0}, 0.5)
-	m.st.p.Set(pmap.Key{Local: 2, Shard: 0}, 0.9)
-	m.st.p.Set(pmap.Key{Local: 3, Shard: 1}, 0.1)
-	m.st.p.Set(pmap.Key{Local: 4, Shard: 1}, 0.9)
+	m := NewSSPPR(0, 0, []int32{8, 8}, DefaultConfig())
+	setScore(m, pmap.Key{Local: 1, Shard: 0}, 0.5)
+	setScore(m, pmap.Key{Local: 2, Shard: 0}, 0.9)
+	setScore(m, pmap.Key{Local: 3, Shard: 1}, 0.1)
+	setScore(m, pmap.Key{Local: 4, Shard: 1}, 0.9)
 	top := m.TopK(2)
 	if len(top) != 2 {
 		t.Fatalf("len = %d", len(top))

@@ -75,7 +75,7 @@ func TestHaloWithAllFetchModes(t *testing.T) {
 func TestQuickTopKMatchesSort(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := NewSSPPR(0, 0, DefaultConfig())
+		m := NewSSPPR(0, 0, []int32{50, 50, 50}, DefaultConfig())
 		n := rng.Intn(200)
 		type kv struct {
 			k pmap.Key
@@ -90,7 +90,7 @@ func TestQuickTopKMatchesSort(t *testing.T) {
 			}
 			seen[key] = true
 			v := rng.Float64()
-			m.st.p.Set(key, v)
+			setScore(m, key, v)
 			all = append(all, kv{key, v})
 		}
 		k := int(kRaw%20) + 1

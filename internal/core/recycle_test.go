@@ -27,6 +27,16 @@ func idleStates() int {
 	return len(freeStates.idle)
 }
 
+// graphCores returns each shard's core vertex count in g's graph, the
+// bounds NewSSPPR takes.
+func graphCores(g *DistGraphStorage) []int32 {
+	cores := make([]int32, g.NumShards)
+	for sh := range cores {
+		cores[sh] = g.Locator.CoreCount(int32(sh))
+	}
+	return cores
+}
+
 func detConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Eps = 1e-6
@@ -224,17 +234,21 @@ func TestPoisonedReleaseFailsLoudly(t *testing.T) {
 	defer mem.SetPoison(false)
 	drainFreeList()
 
-	m := NewSSPPR(5, 0, detConfig())
+	m := NewSSPPR(5, 0, graphCores(storages[0]), detConfig())
 	locals, shards := m.Pop()
 	fut := storages[0].GetNeighborInfos(context.Background(), 0, locals, m.cfg)
 	batch, err := fut.WaitCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Push(batch, locals, shards)
+	if err := m.Push(batch, locals, shards); err != nil {
+		t.Fatal(err)
+	}
 	st := m.st
-	if m.ScoreCount() != 1 || st.r.Len() < 2 {
-		t.Fatalf("one push left %d scores and %d residuals", m.ScoreCount(), st.r.Len())
+	residuals := 0
+	m.RangeResiduals(func(pmap.Key, float64) bool { residuals++; return true })
+	if m.ScoreCount() != 1 || residuals < 2 {
+		t.Fatalf("one push left %d scores and %d residuals", m.ScoreCount(), residuals)
 	}
 	m.Release()
 
@@ -244,8 +258,8 @@ func TestPoisonedReleaseFailsLoudly(t *testing.T) {
 	if locals[0] == 5 || shards[0] == 0 {
 		t.Fatalf("Pop's slices survived Release unscribbled: %v %v", locals, shards)
 	}
-	for name, tab := range map[string]*pmap.Flat{"p": st.p, "r": st.r} {
-		tab.Range(func(k pmap.Key, v float64) bool {
+	for name, rng := range map[string]func(func(pmap.Key, float64) bool){"p": st.t.RangeP, "r": st.t.RangeR} {
+		rng(func(k pmap.Key, v float64) bool {
 			if v != pmap.PoisonValue {
 				t.Fatalf("%s[%v] = %v survived Release", name, k, v)
 			}
@@ -280,7 +294,7 @@ func TestWarmEngineAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Release()
-		return NewSSPPR(7, 0, cfg)
+		return NewSSPPR(7, 0, graphCores(st), cfg)
 	}
 	m := warm()
 	var batches []NeighborBatch
@@ -296,8 +310,10 @@ func TestWarmEngineAllocBudget(t *testing.T) {
 	shardCol := make([]int32, 1<<12)
 	allocs := testing.AllocsPerRun(20, func() {
 		m := SSPPR{cfg: cfg, st: acquireState()}
-		m.st.r.Set(pmap.Key{Local: 7}, 1)
-		m.st.act.InsertP(pmap.Key{Local: 7}.Packed())
+		m.bind(st)
+		if err := m.seed(7, 0); err != nil {
+			t.Fatal(err)
+		}
 		for round := range batches {
 			if locals, _ := m.Pop(); len(locals) != len(ids[round]) {
 				t.Fatalf("round %d popped %d vertices, recorded %d", round, len(locals), len(ids[round]))
@@ -330,14 +346,14 @@ func TestWarmEngineAllocBudget(t *testing.T) {
 }
 
 // (f) The free list keeps at most GOMAXPROCS idle states and never one whose
-// tables outgrew maxPooledSlots.
+// table outgrew maxPooledBytes.
 func TestFreeListIsBounded(t *testing.T) {
 	drainFreeList()
 	defer drainFreeList()
 	limit := runtime.GOMAXPROCS(0)
 	var ms []*SSPPR
 	for i := 0; i < limit+3; i++ {
-		ms = append(ms, NewSSPPR(int32(i), 0, DefaultConfig()))
+		ms = append(ms, NewSSPPR(int32(i), 0, []int32{64}, DefaultConfig()))
 	}
 	for _, m := range ms {
 		m.Release()
@@ -348,13 +364,14 @@ func TestFreeListIsBounded(t *testing.T) {
 	}
 
 	drainFreeList()
-	big := NewSSPPR(0, 0, DefaultConfig())
-	for i := int32(0); big.st.r.Cap() <= maxPooledSlots; i++ {
-		big.st.r.AddP(pmap.Key{Local: i, Shard: 1}.Packed(), 1)
+	big := NewSSPPR(0, 0, []int32{1, 1 << 20}, DefaultConfig())
+	for i := int32(0); big.st.t.Footprint() <= maxPooledBytes; i += pmap.PageLocals {
+		big.st.t.AddR(big.st.t.Slot(1, i), 1)
 	}
+	footprint := big.st.t.Footprint()
 	big.Release()
 	if n := idleStates(); n != 0 {
-		t.Fatalf("a state with a %d-slot table was retained", maxPooledSlots*2)
+		t.Fatalf("a state with a %d-byte table was retained", footprint)
 	}
 	var nilQuery *SSPPR
 	nilQuery.Release() // nil-safe

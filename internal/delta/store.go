@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"pprengine/internal/graph"
 	"pprengine/internal/metrics"
@@ -304,14 +305,13 @@ func (s *Store) applyOpLocked(e uint64, op *wire.MutOp, touched map[Key]struct{}
 			if w, ok := s.wdegAtLocked(dst, e); ok {
 				dstW = w
 			}
-			nv := rowV{
-				epoch:   e,
-				wdeg:    newW,
-				locals:  append(append(make([]int32, 0, len(old.Locals)+1), old.Locals...), op.DstLocal),
-				shards:  append(append(make([]int32, 0, len(old.Shards)+1), old.Shards...), op.DstShard),
-				weights: append(append(make([]float32, 0, len(old.Weights)+1), old.Weights...), op.Weight),
-				wdegs:   append(append(make([]float32, 0, len(old.WDegs)+1), old.WDegs...), dstW),
-			}
+			n := len(old.Locals)
+			nv := newVersion(e, newW, n+1)
+			copy(nv.locals, old.Locals)
+			copy(nv.shards, old.Shards)
+			copy(nv.weights, old.Weights)
+			copy(nv.wdegs, old.WDegs)
+			nv.locals[n], nv.shards[n], nv.weights[n], nv.wdegs[n] = op.DstLocal, op.DstShard, op.Weight, dstW
 			s.rows[src] = appendVersion(s.rows[src], nv)
 		}
 		metrics.EdgesInserted.Inc(1)
@@ -333,15 +333,11 @@ func (s *Store) applyOpLocked(e uint64, op *wire.MutOp, touched map[Key]struct{}
 				return fmt.Errorf("edge (%d,%d)->(%d,%d) not present",
 					op.SrcShard, op.SrcLocal, op.DstShard, op.DstLocal)
 			}
-			n := len(old.Locals) - 1
-			nv := rowV{
-				epoch:   e,
-				wdeg:    op.SrcWDeg - op.Weight,
-				locals:  dropIdx32(old.Locals, j, n),
-				shards:  dropIdx32(old.Shards, j, n),
-				weights: dropIdxF(old.Weights, j, n),
-				wdegs:   dropIdxF(old.WDegs, j, n),
-			}
+			nv := newVersion(e, op.SrcWDeg-op.Weight, len(old.Locals)-1)
+			dropIdx(nv.locals, old.Locals, j)
+			dropIdx(nv.shards, old.Shards, j)
+			dropIdx(nv.weights, old.Weights, j)
+			dropIdx(nv.wdegs, old.WDegs, j)
 			s.rows[src] = appendVersion(s.rows[src], nv)
 		}
 		metrics.EdgesDeleted.Inc(1)
@@ -350,16 +346,30 @@ func (s *Store) applyOpLocked(e uint64, op *wire.MutOp, touched map[Key]struct{}
 	return fmt.Errorf("unknown op kind %d", op.Kind)
 }
 
-func dropIdx32(a []int32, j, n int) []int32 {
-	out := make([]int32, 0, n)
-	out = append(out, a[:j]...)
-	return append(out, a[j+1:]...)
+// newVersion returns a row version with deg zeroed entries. Its four
+// columns are carved from one pointer-free block, so a version costs one
+// allocation and nothing for the collector to scan.
+func newVersion(e uint64, wdeg float32, deg int) rowV {
+	block := make([]int32, 4*deg)
+	return rowV{
+		epoch:   e,
+		wdeg:    wdeg,
+		locals:  block[:deg:deg],
+		shards:  block[deg : 2*deg : 2*deg],
+		weights: asF32s(block[2*deg : 3*deg : 3*deg]),
+		wdegs:   asF32s(block[3*deg:]),
+	}
 }
 
-func dropIdxF(a []float32, j, n int) []float32 {
-	out := make([]float32, 0, n)
-	out = append(out, a[:j]...)
-	return append(out, a[j+1:]...)
+// asF32s reinterprets a block of 4-byte words as float32s.
+func asF32s(b []int32) []float32 {
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b))), len(b))
+}
+
+// dropIdx copies a without its element j into dst (len(a)-1 long).
+func dropIdx[T any](dst, a []T, j int) {
+	copy(dst, a[:j])
+	copy(dst[j:], a[j+1:])
 }
 
 // appendVersion appends v to chain, replacing the last version if it carries

@@ -19,6 +19,9 @@ type Table3Row struct {
 	Push        time.Duration
 	Total       time.Duration // wall time of the batch
 	Speedup     float64       // vs the Single baseline
+	// The traffic behind the timings, summed over the batch: pop rounds,
+	// rows fetched over RPC, wire requests and request payload bytes.
+	Rounds, RemoteRows, Requests, RequestBytes int64
 }
 
 // Table3 reproduces the RPC-optimization ablation on friendster-sim
@@ -51,8 +54,8 @@ func Table3(p Params) (Report, []Table3Row, error) {
 		{"+Overlap", core.FetchBatchCompress, true},
 	}
 	r := Report{Title: "Table 3: RPC optimizations on friendster-sim (2 machines)"}
-	r.Lines = append(r.Lines, fmt.Sprintf("%-10s %12s %12s %10s %10s %9s",
-		"Variant", "LocalFetch", "RemoteFetch", "Push", "Total", "Speedup"))
+	r.Lines = append(r.Lines, fmt.Sprintf("%-10s %12s %12s %10s %10s %9s %9s",
+		"Variant", "LocalFetch", "RemoteFetch", "Push", "Total", "Speedup", "Requests"))
 	var rows []Table3Row
 	var baseline time.Duration
 	for _, rung := range ladder {
@@ -66,11 +69,15 @@ func Table3(p Params) (Report, []Table3Row, error) {
 			return r, nil, err
 		}
 		row := Table3Row{
-			Name:        rung.name,
-			LocalFetch:  last.Breakdown.Get(metrics.PhaseLocalFetch),
-			RemoteFetch: last.Breakdown.Get(metrics.PhaseRemoteFetch),
-			Push:        last.Breakdown.Get(metrics.PhasePush),
-			Total:       last.Wall,
+			Name:         rung.name,
+			LocalFetch:   last.Breakdown.Get(metrics.PhaseLocalFetch),
+			RemoteFetch:  last.Breakdown.Get(metrics.PhaseRemoteFetch),
+			Push:         last.Breakdown.Get(metrics.PhasePush),
+			Total:        last.Wall,
+			Rounds:       last.Iterations,
+			RemoteRows:   last.RemoteRows,
+			Requests:     last.RPCRequests,
+			RequestBytes: last.RequestBytes,
 		}
 		if rung.name == "Single" {
 			baseline = last.Wall
@@ -79,9 +86,9 @@ func Table3(p Params) (Report, []Table3Row, error) {
 			row.Speedup = float64(baseline) / float64(last.Wall)
 		}
 		rows = append(rows, row)
-		r.Lines = append(r.Lines, fmt.Sprintf("%-10s %12s %12s %10s %10s %8.1fx",
+		r.Lines = append(r.Lines, fmt.Sprintf("%-10s %12s %12s %10s %10s %8.1fx %9d",
 			row.Name, fmtDuration(row.LocalFetch), fmtDuration(row.RemoteFetch),
-			fmtDuration(row.Push), fmtDuration(row.Total), row.Speedup))
+			fmtDuration(row.Push), fmtDuration(row.Total), row.Speedup, row.Requests))
 	}
 	return r, rows, nil
 }

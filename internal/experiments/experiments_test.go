@@ -31,10 +31,26 @@ func TestTable2ShapeHolds(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, row := range rows {
-		// The paper's headline ordering: PPR Engine >> PyTorch Tensor.
-		if row.PPREngine <= row.PyTorchTensor {
-			t.Fatalf("%s: engine %.1f not faster than tensor %.1f",
-				row.Dataset, row.PPREngine, row.PyTorchTensor)
+		// The paper's headline ordering, PPR Engine >> PyTorch Tensor, is a
+		// wall-clock ratio that varies with the host (under -race the
+		// engine slows, the tensor baseline's simulated dispatch does not),
+		// so pprbench reports it and tier-1 asserts the work behind it.
+		// Both run Forward Push over the same sources, and the counts are
+		// deterministic. The engine finishes in fewer rounds (6.0–7.3 per
+		// query against 8.4–10.4 at quickParams), so it pays fewer fetch
+		// round trips; and each round the tensor baseline finds its
+		// frontier by scanning every vertex, while the engine drains only
+		// the vertices it activated.
+		if row.EngineRounds <= 0 || row.EnginePushes <= 0 || row.TensorPushes <= 0 {
+			t.Fatalf("%s: a side did no work: %+v", row.Dataset, row)
+		}
+		if row.EngineRounds >= row.TensorRounds {
+			t.Fatalf("%s: engine %.2f rounds per query, tensor %.2f: want fewer",
+				row.Dataset, row.EngineRounds, row.TensorRounds)
+		}
+		if row.TensorScanned < 2*row.EngineScanned {
+			t.Fatalf("%s: the tensor scan reads %.0f vertices per query, the engine pops %.0f: want at least 2x",
+				row.Dataset, row.TensorScanned, row.EngineScanned)
 		}
 		// The engine-vs-SpMM position is scale-dependent: compiled power
 		// iteration over a test-scale graph is cheap, whereas the paper's
@@ -74,12 +90,34 @@ func TestTable3LadderImproves(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	// Batch must beat Single decisively; the full ladder must beat Single.
-	if rows[1].Speedup < 2 {
-		t.Fatalf("+Batch speedup only %.1fx", rows[1].Speedup)
+	// The ladder's speed-ups are wall-clock ratios and vary with the host;
+	// the traffic behind them does not. Every rung replays the same pop
+	// rounds. Single ships one request per remote row; batching ships at
+	// most one per round (two machines: one remote shard), whose bytes are
+	// the IDs plus a small header; compression and overlap change the
+	// response encoding and the timing, never the requests.
+	single, batch := rows[0], rows[1]
+	if single.Rounds == 0 || single.RemoteRows == 0 {
+		t.Fatalf("Single rung did no remote work: %+v", single)
 	}
-	if rows[3].Speedup < rows[1].Speedup*0.8 {
-		t.Fatalf("ladder regressed: %+v", rows)
+	if single.Requests != single.RemoteRows {
+		t.Fatalf("Single: %d requests for %d remote rows", single.Requests, single.RemoteRows)
+	}
+	if batch.Requests > batch.Rounds || 2*batch.Requests > single.Requests {
+		t.Fatalf("+Batch: %d requests over %d rounds (Single: %d)", batch.Requests, batch.Rounds, single.Requests)
+	}
+	if ids := 4 * batch.RemoteRows; batch.RequestBytes >= single.RequestBytes || batch.RequestBytes > ids+64*batch.Requests {
+		t.Fatalf("+Batch: %d request bytes, Single %d", batch.RequestBytes, single.RequestBytes)
+	}
+	for _, row := range rows {
+		if row.Rounds != single.Rounds || row.RemoteRows != single.RemoteRows {
+			t.Fatalf("%s: %d rounds and %d remote rows, Single %d and %d", row.Name, row.Rounds, row.RemoteRows, single.Rounds, single.RemoteRows)
+		}
+	}
+	for _, row := range rows[2:] {
+		if row.Requests != batch.Requests || row.RequestBytes != batch.RequestBytes {
+			t.Fatalf("%s: %d requests / %d bytes, +Batch %d / %d", row.Name, row.Requests, row.RequestBytes, batch.Requests, batch.RequestBytes)
+		}
 	}
 }
 
@@ -134,14 +172,18 @@ func TestIntroComparison(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	// The paper's structural claim is that FP gains far exceed RW gains. The
+	// speed-ups themselves are wall-clock ratios that vary with the host;
+	// what causes them does not: a Forward Push query makes at least twice
+	// the remote calls of a walk, so the per-call costs the engine removes
+	// weigh at least twice as heavily on it.
 	fp, rw := rows[0], rows[1]
-	if fp.EngineSpeedup <= 1 {
-		t.Fatalf("forward push speedup %.2fx", fp.EngineSpeedup)
+	if rw.CallsPerQuery <= 0 {
+		t.Fatalf("Random Walk made no remote calls: %+v", rw)
 	}
-	// The paper's structural claim: FP gains far exceed RW gains.
-	if fp.EngineSpeedup < 2*rw.EngineSpeedup {
-		t.Fatalf("FP speedup %.1fx should dwarf RW speedup %.1fx",
-			fp.EngineSpeedup, rw.EngineSpeedup)
+	if fp.CallsPerQuery < 2*rw.CallsPerQuery {
+		t.Fatalf("FP makes %.2f remote calls per query, RW %.2f per walk: want at least 2x",
+			fp.CallsPerQuery, rw.CallsPerQuery)
 	}
 }
 

@@ -66,6 +66,19 @@ type IntroRow struct {
 	EngineTP      float64
 	TensorTP      float64
 	EngineSpeedup float64
+	// CallsPerQuery is the engine's wire requests per query (one walk for
+	// Random Walk): the per-call costs the engine cuts weigh in proportion.
+	CallsPerQuery float64
+}
+
+// wirePerQuery runs measuredRun and returns, beside its results, the wire
+// requests per query over all of its passes.
+func wirePerQuery(p Params, run func() (cluster.RunResult, error)) (float64, cluster.RunResult, float64, error) {
+	before := metrics.WireRequests.Load()
+	tp, last, err := measuredRun(p, run)
+	passes := p.Warmup + max(p.Repeats, 1)
+	calls := float64(metrics.WireRequests.Load()-before) / float64(passes*max(last.Queries, 1))
+	return tp, last, calls, err
 }
 
 // Intro reproduces the introduction's products comparison on products-sim
@@ -89,7 +102,7 @@ func Intro(p Params) (Report, []IntroRow, error) {
 
 	// Forward Push: engine vs tensor.
 	qs := c.EvenQuerySet(minInt(p.Queries, 8), 31)
-	engineTP, _, err := measuredRun(p, func() (cluster.RunResult, error) {
+	engineTP, _, fpCalls, err := wirePerQuery(p, func() (cluster.RunResult, error) {
 		return c.RunSSPPRBatch(context.Background(), qs, cfg, cluster.EngineMap)
 	})
 	if err != nil {
@@ -102,11 +115,11 @@ func Intro(p Params) (Report, []IntroRow, error) {
 	if err != nil {
 		return Report{}, nil, err
 	}
-	rows = append(rows, IntroRow{"Forward Push", engineTP, tensorTP, engineTP / tensorTP})
+	rows = append(rows, IntroRow{"Forward Push", engineTP, tensorTP, engineTP / tensorTP, fpCalls})
 
 	// Random Walk: the engine's server-side sampling vs client-side
 	// sampling over fetched neighbor infos.
-	walkTPengine, _, err := measuredRun(p, func() (cluster.RunResult, error) {
+	walkTPengine, _, rwCalls, err := wirePerQuery(p, func() (cluster.RunResult, error) {
 		res, _, err := c.RunRandomWalkBatch(context.Background(), p.Queries, 16, 11)
 		return res, err
 	})
@@ -117,13 +130,13 @@ func Intro(p Params) (Report, []IntroRow, error) {
 	if err != nil {
 		return Report{}, nil, err
 	}
-	rows = append(rows, IntroRow{"Random Walk", walkTPengine, walkTPtensor, walkTPengine / walkTPtensor})
+	rows = append(rows, IntroRow{"Random Walk", walkTPengine, walkTPtensor, walkTPengine / walkTPtensor, rwCalls})
 
 	r := Report{Title: "Intro claim: engine vs tensor on products-sim (4 machines)"}
-	r.Lines = append(r.Lines, fmt.Sprintf("%-14s %14s %14s %10s", "Workload", "Engine q/s", "Tensor q/s", "Speedup"))
+	r.Lines = append(r.Lines, fmt.Sprintf("%-14s %14s %14s %10s %12s", "Workload", "Engine q/s", "Tensor q/s", "Speedup", "Calls/query"))
 	for _, row := range rows {
-		r.Lines = append(r.Lines, fmt.Sprintf("%-14s %14.1f %14.1f %9.1fx",
-			row.Workload, row.EngineTP, row.TensorTP, row.EngineSpeedup))
+		r.Lines = append(r.Lines, fmt.Sprintf("%-14s %14.1f %14.1f %9.1fx %12.2f",
+			row.Workload, row.EngineTP, row.TensorTP, row.EngineSpeedup, row.CallsPerQuery))
 	}
 	return r, rows, nil
 }

@@ -31,6 +31,18 @@ type Table2Row struct {
 	DGLSpMM       float64 // ideal-x4 single-machine power iteration
 	PyTorchTensor float64 // distributed tensor forward push
 	PPREngine     float64 // the engine
+	// The work behind the throughputs, per query of the last measured
+	// pass: pop rounds, push operations, and the vertex entries each
+	// side's frontier detection reads — the engine drains its activated
+	// set, the tensor baseline scans every vertex of the graph each round.
+	EngineRounds, TensorRounds   float64
+	EnginePushes, TensorPushes   float64
+	EngineScanned, TensorScanned float64
+}
+
+// perQuery divides n by the successful queries of res.
+func perQuery(n int64, res cluster.RunResult) float64 {
+	return float64(n) / float64(max(res.Queries-res.Failed, 1))
 }
 
 // Table2 reproduces the headline throughput comparison: a 4-machine
@@ -56,25 +68,38 @@ func Table2(p Params) (Report, []Table2Row, error) {
 		// The tensor baseline is orders of magnitude slower; run it with a
 		// reduced query count and identical per-query accounting.
 		qsTensor := c.EvenQuerySet(minInt(p.Queries, 4), 7)
-		tensorTP, _, err := measuredRun(p, func() (cluster.RunResult, error) {
+		tensorTP, tensorRes, err := measuredRun(p, func() (cluster.RunResult, error) {
 			return c.RunSSPPRBatch(context.Background(), qsTensor, core.TensorBaselineConfig(), cluster.EngineTensor)
 		})
 		if err != nil {
 			c.Close()
 			return r, nil, err
 		}
-		engineTP, _, err := measuredRun(p, func() (cluster.RunResult, error) {
+		engineTP, engineRes, err := measuredRun(p, func() (cluster.RunResult, error) {
 			return c.RunSSPPRBatch(context.Background(), qs, cfg, cluster.EngineMap)
 		})
 		c.Close()
 		if err != nil {
 			return r, nil, err
 		}
-		row := Table2Row{Dataset: spec.Name, DGLSpMM: dgl, PyTorchTensor: tensorTP, PPREngine: engineTP}
+		row := Table2Row{
+			Dataset: spec.Name, DGLSpMM: dgl, PyTorchTensor: tensorTP, PPREngine: engineTP,
+			EngineRounds:  perQuery(engineRes.Iterations, engineRes),
+			TensorRounds:  perQuery(tensorRes.Iterations, tensorRes),
+			EnginePushes:  perQuery(engineRes.Pushes, engineRes),
+			TensorPushes:  perQuery(tensorRes.Pushes, tensorRes),
+			EngineScanned: perQuery(engineRes.LocalRows+engineRes.RemoteRows+engineRes.HaloRows, engineRes),
+			TensorScanned: perQuery(tensorRes.Iterations*int64(g.NumNodes), tensorRes),
+		}
 		rows = append(rows, row)
 		r.Lines = append(r.Lines, fmt.Sprintf("%-18s %14.3f %16.3f %14.1f %9.1fx %9.1fx",
 			row.Dataset, row.DGLSpMM, row.PyTorchTensor, row.PPREngine,
 			row.PPREngine/row.PyTorchTensor, row.PPREngine/row.DGLSpMM))
+	}
+	r.Lines = append(r.Lines, "Work per query: pushes / rounds / vertices read to find the frontier (engine pops, tensor scans)")
+	for _, row := range rows {
+		r.Lines = append(r.Lines, fmt.Sprintf("%-18s engine %8.1f / %5.2f / %8.0f   tensor %8.1f / %5.2f / %8.0f",
+			row.Dataset, row.EnginePushes, row.EngineRounds, row.EngineScanned, row.TensorPushes, row.TensorRounds, row.TensorScanned))
 	}
 	return r, rows, nil
 }

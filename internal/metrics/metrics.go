@@ -246,10 +246,10 @@ var (
 	// reused across epochs, so this grows only when an arena outgrows its
 	// slab — a hot steady state stops moving it entirely.
 	ArenaSlabBytes Counter
-	// PmapGrows counts flat probe-table stripe rehashes in the engine
-	// (internal/pmap Flat/FlatSet). Bumped once per grow, never per map op;
-	// recycled tables keep their capacity, so a warm steady state stops
-	// moving it.
+	// PmapGrows counts growth of the engine's per-query table (internal/pmap
+	// Flat): page-pool reallocations and directory enlargements. Bumped once
+	// per grow, never per table op; recycled tables keep their pages and
+	// directories, so a warm steady state stops moving it.
 	PmapGrows Counter
 	// FeatCacheHits / FeatCacheMisses / FeatCacheCoalesced count feature
 	// rows served from the machine-wide feature cache, rows that started a

@@ -57,7 +57,7 @@ func RegisterEngineMetrics(r *Registry) {
 		func() float64 { return float64(metrics.PoolLiveBytes.Load()) })
 	r.CounterFunc("ppr_mem_arena_slab_bytes_total", "Bytes committed to decode-arena slabs.", nil, counterOf(&metrics.ArenaSlabBytes))
 
-	r.CounterFunc("ppr_pmap_grows_total", "Flat probe-table stripe rehashes in the SSPPR engine.", nil, counterOf(&metrics.PmapGrows))
+	r.CounterFunc("ppr_pmap_grows_total", "Page-pool and directory growths of the SSPPR engine's per-query table.", nil, counterOf(&metrics.PmapGrows))
 
 	r.CounterFunc("ppr_wire_requests_total", "Client-side RPC requests sent.", nil, counterOf(&metrics.WireRequests))
 	r.CounterFunc("ppr_wire_bytes_sent_total", "Client-side request payload bytes sent.", nil, counterOf(&metrics.WireBytesSent))

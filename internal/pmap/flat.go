@@ -1,332 +1,277 @@
-// Flat and FlatSet are the open-addressed, single-owner probe tables of the
-// SSPPR engine (DESIGN.md §5j). Where Striped pays Go-map overhead (hashing
-// twice, bucket chains, pointer-heavy internals) plus a mutex per submap, a
-// Flat stripe is one bare open-addressed array of 16-byte {key, value} slots
-// — packed keys biased by one so zero means empty — probed linearly from the
-// upper bits of the same hash that picked the stripe, so a residual update
-// touches one cache line. There are no locks and no atomics: a table belongs
-// to one query, and one goroutine at a time runs that query's pop and push.
-// The stripes remain so that growth rehashes 1/64 of a table at a time.
+// Flat is the SSPPR engine's whole per-query state (DESIGN.md §5j): the
+// residual r, the reserve p and the activated set of one query, in one
+// vertex-indexed table. A shard's local IDs are dense CSR row numbers, so
+// (shard, local) already names an array slot; there is no hash, no probe
+// loop and no rehash. A page covers 64 consecutive locals of one shard and
+// holds their residual and reserve columns plus a 64-bit activation word; a
+// per-shard directory maps local>>6 to the page (dir[shard][local>>6], 0
+// meaning absent), so a residual update is two dependent array loads.
 //
-// Both tables keep a dense per-stripe list of the slots they filled, in
-// insertion order. Iteration follows the list, so its order depends only on
-// the order keys were inserted, never on table capacity; and clearing costs
-// time proportional to the entries a query touched, which is what lets one
-// table serve query after query (core's recycled engine state).
+// Pages are claimed in first-touch order and the activated set is a list of
+// slots, so every iteration order — Drain, RangeP, RangeR — depends only on
+// the order keys were touched, never on capacity. Clearing walks the claimed
+// pages: its cost is proportional to what the query touched, which is what
+// lets one table serve query after query (core's recycled engine state).
+//
+// There are no locks and no atomics: a table belongs to one query, and one
+// goroutine at a time runs that query's pop and push.
 package pmap
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"unsafe"
+)
 
-// submapBits is log2(NumSubmaps): stripe selection uses the hash's low
-// submapBits bits, slot probing starts from the bits above them, so the two
-// derivations never correlate.
-const submapBits = 6
+const (
+	pageBits = 6
+	// PageLocals is how many consecutive locals one page covers.
+	PageLocals = 1 << pageBits
+	pageMask   = PageLocals - 1
+)
 
-// flatMinStripeCap is the smallest per-stripe table (power of two).
-const flatMinStripeCap = 8
-
-// stripeCapFor sizes one stripe's table for a total capacity hint, keeping
-// the load factor under 3/4 at the hinted size.
-func stripeCapFor(capacityHint int) int {
-	per := capacityHint / NumSubmaps
-	n := flatMinStripeCap
-	for n*3 < per*4 {
-		n <<= 1
-	}
-	return n
+type page struct {
+	r, p  [PageLocals]float64
+	act   uint64 // activated locals (bit = local & pageMask)
+	has   uint64 // locals holding a reserve
+	shard int32
+	base  int32 // local >> pageBits of the page's first local
 }
 
-// resetSparse reports whether clearing a table of capacity slots by walking
-// its used list touches less memory than one memclr of the whole table.
-func resetSparse(used, capacity int) bool { return used*4 < capacity }
-
-type flatSlot struct {
-	key uint64 // packed key + keyBias; 0 = empty
-	val float64
-}
-
-type flatStripe struct {
-	slots []flatSlot
-	used  []int32 // insertion-ordered indices of the occupied slots
-}
-
-// Flat is a striped open-addressed map from Key to float64 with no internal
-// synchronization: single-goroutine use only.
+// Flat maps (shard, local) keys to a slot — page<<6 | local&63 — through
+// which the residual, the reserve and the activation bit are read and
+// written. Single-goroutine use only.
 type Flat struct {
-	stripes [NumSubmaps]flatStripe
+	dir     [][]int32 // dir[shard][local>>pageBits]: index into pages, 0 = absent
+	bounds  []int32   // bounds[shard]: locals per shard
+	pages   []page    // pages[0] is the absent sentinel
+	active  []int32   // activated slots, in activation order
+	reserve int       // keys holding a reserve
 	grows   int64
 }
 
-// NewFlat returns an empty Flat map sized for capacityHint total entries.
+// NewFlat returns an empty table with room for capacityHint pages before
+// its page pool grows. It holds no shard until Bound declares them.
 func NewFlat(capacityHint int) *Flat {
-	f := &Flat{}
-	per := stripeCapFor(capacityHint)
-	for i := range f.stripes {
-		f.stripes[i].slots = make([]flatSlot, per)
-	}
-	return f
+	return &Flat{pages: make([]page, 1, 1+capacityHint)}
 }
 
-// Packed returns the Key's packed 64-bit form, the representation the flat
-// tables take on the hot path.
-func (k Key) Packed() uint64 { return k.pack() }
-
-// slot returns packed key p's slot, claiming an empty one (value 0) when the
-// key is absent.
-func (f *Flat) slot(p uint64) *flatSlot {
-	h := hash64(p)
-	st := &f.stripes[h&(NumSubmaps-1)]
-	if len(st.used)*4 >= len(st.slots)*3 {
-		f.growStripe(st)
+// Bound declares the key space: shard s holds locals [0, cores[s]), and no
+// other shard exists. Slot refuses a key whose page lies outside it, so a
+// forged ID costs nothing in proportion to its value: a directory never
+// grows past its shard's pages. (A local past cores[s] on the shard's last
+// page is not refused: like any ID no vertex has, it fails its fetch.) Call
+// it on an empty table (new, or after Clear); the bounds hold until the
+// next Bound.
+func (t *Flat) Bound(cores []int32) {
+	t.bounds = append(t.bounds[:0], cores...)
+	if cap(t.dir) < len(cores) {
+		t.dir = append(t.dir[:cap(t.dir)], make([][]int32, len(cores)-cap(t.dir))...)
 	}
-	b := p + keyBias
-	slots := st.slots
-	mask := uint64(len(slots) - 1)
-	i := (h >> submapBits) & mask
-	for {
-		s := &slots[i]
-		if s.key == b {
-			return s
+	t.dir = t.dir[:len(cores)]
+	for s, n := range cores {
+		// Entries past a directory's length are zero (Clear zeroes every
+		// entry it set), so reslicing within capacity is safe either way;
+		// no directory is ever longer than its shard's pages.
+		if need := pagesFor(n); cap(t.dir[s]) >= need {
+			t.dir[s] = t.dir[s][:need]
 		}
-		if s.key == emptySlot {
-			s.key = b
-			st.used = append(st.used, int32(i))
-			return s
-		}
-		i = (i + 1) & mask
 	}
 }
 
-// AddP adds delta to packed key p's value (missing keys start at 0) and
-// returns the new value.
-func (f *Flat) AddP(p uint64, delta float64) float64 {
-	s := f.slot(p)
-	s.val += delta
-	return s.val
+func pagesFor(locals int32) int { return int(locals+pageMask) >> pageBits }
+
+// Slot returns the slot of (shard, local), claiming a zeroed page when the
+// key's page is absent; -1 when the key is negative or outside the bounds.
+func (t *Flat) Slot(shard, local int32) int32 {
+	if s := t.Find(shard, local); s >= 0 {
+		return s
+	}
+	return t.claim(shard, local)
 }
 
-// SwapP stores v for packed key p and returns the previous value (0 if
-// absent).
-func (f *Flat) SwapP(p uint64, v float64) float64 {
-	s := f.slot(p)
-	old := s.val
-	s.val = v
+// Find returns the slot of (shard, local) without claiming: -1 when the
+// key's page is absent.
+func (t *Flat) Find(shard, local int32) int32 {
+	if uint32(shard) < uint32(len(t.dir)) {
+		d := t.dir[shard]
+		if pi := uint32(local) >> pageBits; pi < uint32(len(d)) && d[pi] != 0 {
+			return d[pi]<<pageBits | local&pageMask
+		}
+	}
+	return -1
+}
+
+// claim is Slot's miss path: it validates the key against the bounds, sizes
+// the shard's directory and hands out the next page.
+func (t *Flat) claim(shard, local int32) int32 {
+	if uint32(shard) >= uint32(len(t.bounds)) || local < 0 {
+		return -1
+	}
+	pi, limit := int(local>>pageBits), pagesFor(t.bounds[shard])
+	if pi >= limit {
+		return -1
+	}
+	if pi >= len(t.dir[shard]) {
+		t.growDir(shard, min(limit, max(pi+1, 2*len(t.dir[shard]))))
+	}
+	n := len(t.pages)
+	if n < cap(t.pages) {
+		t.pages = t.pages[:n+1]
+		t.pages[n] = page{}
+	} else {
+		t.pages = append(t.pages, page{})
+		t.grows++
+	}
+	t.pages[n].shard, t.pages[n].base = shard, int32(pi)
+	t.dir[shard][pi] = int32(n)
+	return int32(n)<<pageBits | local&pageMask
+}
+
+// growDir lengthens shard's directory to n entries.
+func (t *Flat) growDir(shard int32, n int) {
+	d := t.dir[shard]
+	if cap(d) >= n {
+		t.dir[shard] = d[:n]
+		return
+	}
+	nd := make([]int32, n)
+	copy(nd, d)
+	t.dir[shard] = nd
+	t.grows++
+}
+
+// R returns the residual at slot s.
+func (t *Flat) R(s int32) float64 { return t.pages[s>>pageBits].r[s&pageMask] }
+
+// AddR adds delta to the residual at slot s and returns the new value.
+func (t *Flat) AddR(s int32, delta float64) float64 {
+	r := &t.pages[s>>pageBits].r[s&pageMask]
+	*r += delta
+	return *r
+}
+
+// SwapR stores v as the residual at slot s and returns the previous one.
+func (t *Flat) SwapR(s int32, v float64) float64 {
+	r := &t.pages[s>>pageBits].r[s&pageMask]
+	old := *r
+	*r = v
 	return old
 }
 
-// growStripe doubles one stripe's table, reinserting the entries in
-// insertion order so the used list stays valid.
-func (f *Flat) growStripe(st *flatStripe) {
-	old := st.slots
-	slots := make([]flatSlot, len(old)*2)
-	mask := uint64(len(slots) - 1)
-	for idx, sl := range st.used {
-		e := old[sl]
-		i := (hash64(e.key-keyBias) >> submapBits) & mask
-		for slots[i].key != emptySlot {
-			i = (i + 1) & mask
-		}
-		slots[i] = e
-		st.used[idx] = int32(i)
+// P returns the reserve at slot s (0 when it holds none).
+func (t *Flat) P(s int32) float64 { return t.pages[s>>pageBits].p[s&pageMask] }
+
+// AddP adds delta to the reserve at slot s, entering the key into the
+// reserve set.
+func (t *Flat) AddP(s int32, delta float64) {
+	pg := &t.pages[s>>pageBits]
+	o := s & pageMask
+	pg.p[o] += delta
+	if bit := uint64(1) << o; pg.has&bit == 0 {
+		pg.has |= bit
+		t.reserve++
 	}
-	st.slots = slots
-	f.grows++
 }
 
-// Grows returns how many stripe rehashes this map has performed (the
+// Activate enters slot s into the activated set; a slot already in it keeps
+// its place.
+func (t *Flat) Activate(s int32) {
+	pg := &t.pages[s>>pageBits]
+	if bit := uint64(1) << (s & pageMask); pg.act&bit == 0 {
+		pg.act |= bit
+		t.active = append(t.active, s)
+	}
+}
+
+// Drain appends the activated keys to locals and shards, last activated
+// first, and empties the activated set. The order is the engine's served
+// pop order: the keys activated earliest in a round are popped last in the
+// next, after the rest of the frontier has pushed into them, which takes
+// fewer rounds than the reverse (DESIGN.md §5j).
+func (t *Flat) Drain(locals, shards []int32) ([]int32, []int32) {
+	for i := len(t.active) - 1; i >= 0; i-- {
+		s := t.active[i]
+		pg := &t.pages[s>>pageBits]
+		o := s & pageMask
+		pg.act &^= 1 << o
+		locals = append(locals, pg.base<<pageBits|o)
+		shards = append(shards, pg.shard)
+	}
+	t.active = t.active[:0]
+	return locals, shards
+}
+
+// Reserves returns the number of keys holding a reserve.
+func (t *Flat) Reserves() int { return t.reserve }
+
+// Footprint returns the bytes the table retains when it is kept for reuse:
+// its page pool, directories and activation list.
+func (t *Flat) Footprint() int {
+	n := cap(t.pages)*int(unsafe.Sizeof(page{})) + cap(t.active)*4 + cap(t.bounds)*4
+	for _, d := range t.dir[:cap(t.dir)] {
+		n += int(unsafe.Sizeof(d)) + cap(d)*4
+	}
+	return n
+}
+
+// Grows returns how many times the page pool or a directory has grown (the
 // ppr_pmap_grows_total feed; growth vanishes once a recycled table has seen
 // the workload's largest query).
-func (f *Flat) Grows() int64 { return f.grows }
+func (t *Flat) Grows() int64 { return t.grows }
 
-// Get returns the value for k and whether it is present.
-func (f *Flat) Get(k Key) (float64, bool) {
-	p := k.pack()
-	h := hash64(p)
-	slots := f.stripes[h&(NumSubmaps-1)].slots
-	b := p + keyBias
-	mask := uint64(len(slots) - 1)
-	i := (h >> submapBits) & mask
-	for {
-		s := &slots[i]
-		if s.key == b {
-			return s.val, true
-		}
-		if s.key == emptySlot {
-			return 0, false
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// Set stores v for k.
-func (f *Flat) Set(k Key, v float64) { f.slot(k.pack()).val = v }
-
-// Len returns the total number of keys.
-func (f *Flat) Len() int {
-	n := 0
-	for i := range f.stripes {
-		n += len(f.stripes[i].used)
-	}
-	return n
-}
-
-// Cap returns the total number of slots across stripes — what the map
-// retains when it is kept for reuse.
-func (f *Flat) Cap() int {
-	n := 0
-	for i := range f.stripes {
-		n += len(f.stripes[i].slots)
-	}
-	return n
-}
-
-// Range calls f2 for every (key, value) pair, stripe-major and in insertion
-// order within a stripe.
-func (f *Flat) Range(f2 func(Key, float64) bool) {
-	for i := range f.stripes {
-		st := &f.stripes[i]
-		for _, sl := range st.used {
-			e := st.slots[sl]
-			if !f2(unpack(e.key-keyBias), e.val) {
+// RangeP calls f for every key holding a reserve: pages in claim order,
+// locals ascending within a page.
+func (t *Flat) RangeP(f func(Key, float64) bool) {
+	for i := 1; i < len(t.pages); i++ {
+		pg := &t.pages[i]
+		for m := pg.has; m != 0; m &= m - 1 {
+			o := int32(bits.TrailingZeros64(m))
+			if !f(Key{Local: pg.base<<pageBits | o, Shard: pg.shard}, pg.p[o]) {
 				return
 			}
 		}
 	}
 }
 
-// Clear removes all keys, retaining the stripe storage. It costs time
-// proportional to the entries present: a sparse stripe resets slot by slot
-// along its used list, a dense one with a single memclr.
-func (f *Flat) Clear() {
-	for i := range f.stripes {
-		st := &f.stripes[i]
-		if resetSparse(len(st.used), len(st.slots)) {
-			for _, sl := range st.used {
-				st.slots[sl] = flatSlot{}
+// RangeR calls f for every non-zero residual, in RangeP's order.
+func (t *Flat) RangeR(f func(Key, float64) bool) {
+	for i := 1; i < len(t.pages); i++ {
+		pg := &t.pages[i]
+		for o, v := range pg.r {
+			if v != 0 && !f(Key{Local: pg.base<<pageBits | int32(o), Shard: pg.shard}, v) {
+				return
 			}
-		} else {
-			clear(st.slots)
 		}
-		st.used = st.used[:0]
 	}
+}
+
+// Clear empties the table, keeping its bounds, page pool and directories.
+// It zeroes the directory entry of every claimed page; pages are zeroed when
+// next claimed.
+func (t *Flat) Clear() {
+	for i := 1; i < len(t.pages); i++ {
+		pg := &t.pages[i]
+		t.dir[pg.shard][pg.base] = 0
+	}
+	t.pages = t.pages[:1]
+	t.active = t.active[:0]
+	t.reserve = 0
 }
 
 // PoisonValue is what Poison leaves in every value: the 0xDB fill of
 // internal/mem's poison mode, read as a float64 (about -1.7e132).
 var PoisonValue = math.Float64frombits(0xDBDBDBDBDBDBDBDB)
 
-// Poison overwrites every stored value with PoisonValue, keys and lookups
-// intact, so that a reader of a map its owner has given up sees scores no
-// query produces instead of plausible stale ones (debug aid, see
-// mem.SetPoison).
-func (f *Flat) Poison() {
-	for i := range f.stripes {
-		st := &f.stripes[i]
-		for _, sl := range st.used {
-			st.slots[sl].val = PoisonValue
+// Poison overwrites every reserve and residual of the claimed pages with
+// PoisonValue, keys intact, so that a reader of a table its owner has given
+// up sees scores no query produces instead of plausible stale ones (debug
+// aid, see mem.SetPoison).
+func (t *Flat) Poison() {
+	for i := 1; i < len(t.pages); i++ {
+		pg := &t.pages[i]
+		for o := range pg.r {
+			pg.r[o], pg.p[o] = PoisonValue, PoisonValue
 		}
 	}
-}
-
-type flatSetStripe struct {
-	keys []uint64 // probe table: packed key + keyBias; 0 = empty
-	used []int32  // insertion-ordered slot indices into keys
-}
-
-// FlatSet is the engine's activated-vertex set: a striped probe table for
-// O(1) dedup plus the dense per-stripe insertion list, so draining is a
-// straight scan instead of a table walk. Single-goroutine use, like Flat.
-type FlatSet struct {
-	stripes [NumSubmaps]flatSetStripe
-	grows   int64
-}
-
-// NewFlatSet returns an empty set sized for capacityHint total keys.
-func NewFlatSet(capacityHint int) *FlatSet {
-	s := &FlatSet{}
-	per := stripeCapFor(capacityHint)
-	for i := range s.stripes {
-		s.stripes[i].keys = make([]uint64, per)
-	}
-	return s
-}
-
-// InsertP adds packed key p and reports whether it was newly added.
-func (s *FlatSet) InsertP(p uint64) bool {
-	h := hash64(p)
-	st := &s.stripes[h&(NumSubmaps-1)]
-	if len(st.used)*4 >= len(st.keys)*3 {
-		s.growStripe(st)
-	}
-	b := p + keyBias
-	keys := st.keys
-	mask := uint64(len(keys) - 1)
-	i := (h >> submapBits) & mask
-	for {
-		k := keys[i]
-		if k == b {
-			return false
-		}
-		if k == emptySlot {
-			keys[i] = b
-			st.used = append(st.used, int32(i))
-			return true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// growStripe doubles one stripe's probe table, reinserting the live keys in
-// insertion order so the used list stays valid.
-func (s *FlatSet) growStripe(st *flatSetStripe) {
-	n := len(st.keys) * 2
-	keys := make([]uint64, n)
-	mask := uint64(n - 1)
-	for idx, sl := range st.used {
-		b := st.keys[sl]
-		i := (hash64(b-keyBias) >> submapBits) & mask
-		for keys[i] != emptySlot {
-			i = (i + 1) & mask
-		}
-		keys[i] = b
-		st.used[idx] = int32(i)
-	}
-	st.keys = keys
-	s.grows++
-}
-
-// Grows returns how many stripe rehashes this set has performed.
-func (s *FlatSet) Grows() int64 { return s.grows }
-
-// Drain appends all keys to dst (stripe-major, insertion order within a
-// stripe) and clears the set, at a cost proportional to the keys present.
-func (s *FlatSet) Drain(dst []Key) []Key {
-	for si := range s.stripes {
-		st := &s.stripes[si]
-		if len(st.used) == 0 {
-			continue
-		}
-		keys := st.keys
-		for _, sl := range st.used {
-			dst = append(dst, unpack(keys[sl]-keyBias))
-		}
-		if resetSparse(len(st.used), len(keys)) {
-			for _, sl := range st.used {
-				keys[sl] = emptySlot
-			}
-		} else {
-			clear(keys)
-		}
-		st.used = st.used[:0]
-	}
-	return dst
-}
-
-// Len returns the number of keys.
-func (s *FlatSet) Len() int {
-	n := 0
-	for i := range s.stripes {
-		n += len(s.stripes[i].used)
-	}
-	return n
 }

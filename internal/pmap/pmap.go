@@ -1,8 +1,8 @@
-// Package pmap implements the parallel hash maps backing the engine's PPR
-// operators (paper §3.3). Keys are (local ID, shard ID) node identifiers and
-// values are float64 PPR or residual masses.
-//
-// Two implementations are provided:
+// Package pmap holds the tables behind the engine's PPR operators (paper
+// §3.3). Keys are (local ID, shard ID) node identifiers and values are
+// float64 PPR or residual masses. The served engine keeps a query's whole
+// state in one vertex-indexed Flat (flat.go); the parallel hash maps below
+// back internal/baseline and the paper's locking ablations:
 //
 //   - Striped: a segmented ("submap") hash map in the style of
 //     parallel-hashmap, with one mutex per submap for arbitrary concurrent
@@ -33,6 +33,10 @@ type Key struct {
 func (k Key) pack() uint64 {
 	return uint64(uint32(k.Shard))<<32 | uint64(uint32(k.Local))
 }
+
+// Packed returns the Key's packed 64-bit form: shard in the high half,
+// local in the low, so that non-negative keys sort by (shard, local).
+func (k Key) Packed() uint64 { return k.pack() }
 
 func unpack(p uint64) Key {
 	return Key{Local: int32(uint32(p)), Shard: int32(uint32(p >> 32))}
